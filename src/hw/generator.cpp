@@ -1,6 +1,6 @@
 #include "hw/generator.hpp"
 
-#include <map>
+#include <algorithm>
 
 #include "util/strings.hpp"
 
@@ -18,24 +18,23 @@ Netlist generate_netlist(const Circuit& binary_circuit, const GeneratorOptions& 
   const auto live = binary_circuit.reachable_from_root();
 
   std::vector<WireId> node_wire(binary_circuit.num_nodes(), kInvalidWire);
-  // (wire, stage) -> delayed version of that wire at that stage.
-  std::map<std::pair<WireId, int>, WireId> delayed;
+  // delayed[w]: the register carrying wire w one stage later, when shared.
+  std::vector<WireId> delayed;
 
   // Returns `w` delayed to exactly `stage` (inserting registers as needed).
   auto align_to = [&](WireId w, int stage) {
     WireId cur = w;
     while (netlist.wire(cur).stage < stage) {
-      const int next_stage = netlist.wire(cur).stage + 1;
-      const auto key = std::make_pair(cur, next_stage);
       if (options.share_alignment_chains) {
-        if (const auto it = delayed.find(key); it != delayed.end()) {
-          cur = it->second;
+        delayed.resize(netlist.num_wires(), kInvalidWire);
+        if (const WireId next = delayed[static_cast<std::size_t>(cur)]; next != kInvalidWire) {
+          cur = next;
           continue;
         }
       }
       const WireId reg = netlist.add_register(
-          cur, str_format("%s_d%d", netlist.wire(cur).name.c_str(), next_stage));
-      if (options.share_alignment_chains) delayed.emplace(key, reg);
+          cur, str_format("%s_d%d", netlist.wire(cur).name.c_str(), netlist.wire(cur).stage + 1));
+      if (options.share_alignment_chains) delayed[static_cast<std::size_t>(cur)] = reg;
       cur = reg;
     }
     require(netlist.wire(cur).stage == stage, "generate_netlist: alignment overshoot");

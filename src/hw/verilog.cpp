@@ -181,10 +181,12 @@ void emit_float_oplib(std::ostringstream& os, const FloatFormat& fmt, RoundingMo
      << "  assign y = (a > b) ? a : b;\nendmodule\n\n";
 }
 
-std::string emit_datapath(const Netlist& netlist, int width, const std::string& module_name,
-                          const std::string& one_literal,
-                          const std::vector<std::string>& const_literals) {
-  std::ostringstream os;
+/// Writes the top module, instantiating `add_module` / `mul_module` (the
+/// format's operator library) at every adder / multiplier cell.
+void emit_datapath(std::ostringstream& os, const Netlist& netlist, int width,
+                   const std::string& module_name, const char* add_module,
+                   const char* mul_module, const std::string& one_literal,
+                   const std::vector<std::string>& const_literals) {
   // Port list: clk, every indicator bit, the result bus.
   os << "module " << module_name << "(\n  input clk";
   for (const Wire& w : netlist.wires()) {
@@ -220,8 +222,8 @@ std::string emit_datapath(const Netlist& netlist, int width, const std::string& 
       os << "  always @(posedge clk) w" << c.out << " <= w" << c.a << ";\n";
       continue;
     }
-    const char* mod = (c.kind == CellKind::kAdd)   ? "ADD_MODULE"
-                      : (c.kind == CellKind::kMul) ? "MUL_MODULE"
+    const char* mod = (c.kind == CellKind::kAdd)   ? add_module
+                      : (c.kind == CellKind::kMul) ? mul_module
                                                    : "op_max";
     os << "  wire [" << width - 1 << ":0] c" << inst << ";\n"
        << "  " << mod << " u" << inst << "(.a(w" << c.a << "), .b(w" << c.b << "), .y(c" << inst
@@ -230,7 +232,6 @@ std::string emit_datapath(const Netlist& netlist, int width, const std::string& 
     ++inst;
   }
   os << "\n  assign pr_out = w" << netlist.output() << ";\nendmodule\n";
-  return os.str();
 }
 
 }  // namespace
@@ -254,13 +255,8 @@ std::string emit_fixed_verilog(const Netlist& netlist, const FixedFormat& format
   const FixedPoint one = FixedPoint::from_double(1.0, format, flags, options.rounding);
   require(!flags.any(), "emit_fixed_verilog: constant quantisation out of range");
 
-  std::string body = emit_datapath(netlist, width, options.module_name,
-                                   hex_literal(width, one.raw()), consts);
-  // Bind the generic instance names to the fixed operator library.
-  std::size_t pos = 0;
-  while ((pos = body.find("ADD_MODULE")) != std::string::npos) body.replace(pos, 10, "fx_add");
-  while ((pos = body.find("MUL_MODULE")) != std::string::npos) body.replace(pos, 10, "fx_mul");
-  os << body;
+  emit_datapath(os, netlist, width, options.module_name, "fx_add", "fx_mul",
+                hex_literal(width, one.raw()), consts);
   return os.str();
 }
 
@@ -283,12 +279,8 @@ std::string emit_float_verilog(const Netlist& netlist, const FloatFormat& format
   const SoftFloat one = SoftFloat::from_double(1.0, format, flags, options.rounding);
   require(!flags.any(), "emit_float_verilog: constant quantisation out of range");
 
-  std::string body = emit_datapath(netlist, width, options.module_name,
-                                   hex_literal(width, float_bits(one, format)), consts);
-  std::size_t pos = 0;
-  while ((pos = body.find("ADD_MODULE")) != std::string::npos) body.replace(pos, 10, "fl_add");
-  while ((pos = body.find("MUL_MODULE")) != std::string::npos) body.replace(pos, 10, "fl_mul");
-  os << body;
+  emit_datapath(os, netlist, width, options.module_name, "fl_add", "fl_mul",
+                hex_literal(width, float_bits(one, format)), consts);
   return os.str();
 }
 

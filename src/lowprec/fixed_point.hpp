@@ -110,13 +110,15 @@ inline double fx_raw_to_double(u128 raw, const FixedFormat& fmt) {
                     -fmt.fraction_bits);
 }
 
-// ---- narrow-word (u64) lane kernels ----------------------------------------
-// For formats with fits_narrow_word() (total width <= 30 bits) every raw word
-// is < 2^30, so a sum is <= 31 bits and an exact product <= 60 bits —
-// add/mul/round/saturate all close over uint64_t and the u128 emulation above
-// is pure overhead.  These kernels are the per-word semantics of the
-// lane-parallel datapath (ac/simd_sweep_impl.hpp executes them over
-// contiguous SoA lane arrays inside the per-ISA translation units); they are
+// ---- narrow-word (u32) lane kernels ----------------------------------------
+// For formats with fits_narrow_word() (total width <= 30 bits) every
+// saturated raw word is < 2^30, so the *stored* lanes fit u32 exactly, a sum
+// cannot wrap (a + b < 2^31) and an exact product is <= 60 bits: add/mul/
+// round/saturate all close over u32 storage with one u64 intermediate per
+// multiply, and the u128 emulation above is pure overhead.  These kernels
+// are the per-word semantics of the lane-parallel datapath
+// (ac/simd_sweep_impl.hpp executes them over contiguous SoA lane arrays
+// inside the per-ISA translation units, 16 lanes per AVX-512 zmm); they are
 // written branch-free — overflow is reported as a nonzero value OR-ed into a
 // per-lane mask accumulator, never a sticky bool store — so the surrounding
 // lane loops vectorise.  Each kernel is bit-identical to its u128 sibling by
@@ -128,69 +130,6 @@ namespace detail {
 /// Saturates an unclamped narrow word at `max_raw` (an unsigned min, one
 /// vector op) and ORs a nonzero value into `ovf_mask` exactly when the lane
 /// saturated: v ^ min(v, max_raw) is 0 iff v was in range.
-inline std::uint64_t fx_sat_raw_u64(std::uint64_t v, std::uint64_t max_raw,
-                                    std::uint64_t& ovf_mask) {
-  const std::uint64_t sat = v < max_raw ? v : max_raw;
-  ovf_mask |= v ^ sat;
-  return sat;
-}
-}  // namespace detail
-
-/// Narrow word of a + b, saturated at `max_raw`; an overflowing lane ORs a
-/// nonzero value into `ovf_mask`.
-inline std::uint64_t fx_add_raw_u64(std::uint64_t a, std::uint64_t b, std::uint64_t max_raw,
-                                    std::uint64_t& ovf_mask) {
-  return detail::fx_sat_raw_u64(a + b, max_raw, ovf_mask);
-}
-
-/// Narrow word of a * b with the low `fraction_bits` bits rounded away per
-/// `Mode`, saturated at `max_raw`.  `half` is the rounding midpoint
-/// 2^(fraction_bits - 1).  Instantiate with kTruncate when fraction_bits ==
-/// 0: a shift-0 truncation IS the exact product, while the nearest bias
-/// below requires half >= 1.
-template <RoundingMode Mode>
-inline std::uint64_t fx_mul_raw_u64(std::uint64_t a, std::uint64_t b, int fraction_bits,
-                                    [[maybe_unused]] std::uint64_t half,
-                                    std::uint64_t max_raw, std::uint64_t& ovf_mask) {
-  // Operands are saturated narrow words (< 2^30), so the u32 narrowing is
-  // lossless and the exact product is one 32x32->64 multiply on every
-  // vector ISA (AVX2/AVX-512F/NEON have no 64x64 lane multiply).
-  const std::uint64_t prod = static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) *
-                             static_cast<std::uint32_t>(b);
-  std::uint64_t kept;
-  if constexpr (Mode == RoundingMode::kNearestEven) {
-    // round_shift_right's nearest-even via the carry bias: adding
-    // half - 1 + lsb(kept) carries into the kept bits exactly when the
-    // remainder is above the midpoint, or on it with kept odd — no
-    // compares, so the lane loop needs no mask registers.  The bias cannot
-    // wrap: prod <= 2^60 and half <= 2^29.
-    kept = (prod + (half - 1) + ((prod >> fraction_bits) & 1)) >> fraction_bits;
-  } else {
-    kept = prod >> fraction_bits;
-  }
-  return detail::fx_sat_raw_u64(kept, max_raw, ovf_mask);
-}
-
-/// Exact max on narrow words (raw order == value order: same scale).
-constexpr std::uint64_t fx_max_raw_u64(std::uint64_t a, std::uint64_t b) {
-  return a > b ? a : b;
-}
-
-// ---- narrow-word (u32) lane kernels ----------------------------------------
-// The storage-halved siblings of the u64 kernels above, and what the batched
-// narrow datapath actually executes: a saturated narrow word is < 2^30, so
-// the *stored* lanes fit u32 exactly — halving SoA buffer traffic and
-// doubling the lanes per vector register (16 per AVX-512 zmm) — while each
-// multiply still widens through the same exact u64 product before rounding
-// back.  Bit-identical to the u64 kernels by construction: the u32 sum
-// cannot wrap (a + b < 2^31), the product/round arithmetic is shared, and
-// the one extra step — clamping the rounded `kept` into u32 before the
-// saturation compare — preserves both the saturated value (max_raw < 2^30)
-// and the overflow verdict (kept > max_raw iff its u32 clamp is).
-
-namespace detail {
-/// u32 twin of fx_sat_raw_u64: unsigned-min saturation, nonzero OR-ed into
-/// the per-lane mask exactly when the lane saturated.
 inline std::uint32_t fx_sat_raw_u32(std::uint32_t v, std::uint32_t max_raw,
                                     std::uint32_t& ovf_mask) {
   const std::uint32_t sat = v < max_raw ? v : max_raw;
@@ -207,10 +146,13 @@ inline std::uint32_t fx_add_raw_u32(std::uint32_t a, std::uint32_t b, std::uint3
 }
 
 /// u32 word of a * b with the low `fraction_bits` bits rounded away per
-/// `Mode`, saturated at `max_raw`.  Same contract as fx_mul_raw_u64; the
-/// exact product widens to u64 per lane (one 32x32->64 vector multiply),
-/// and the rounded result re-narrows through a u32 clamp that cannot change
-/// the saturation outcome (see the section comment).
+/// `Mode`, saturated at `max_raw`.  `half` is the rounding midpoint
+/// 2^(fraction_bits - 1).  Instantiate with kTruncate when fraction_bits ==
+/// 0: a shift-0 truncation IS the exact product, while the nearest bias
+/// below requires half >= 1.  The exact product widens to u64 per lane (one
+/// 32x32->64 multiply on every vector ISA — AVX2/AVX-512F/NEON have no
+/// 64x64 lane multiply), and the rounded result re-narrows through a u32
+/// clamp that cannot change the saturation outcome.
 template <RoundingMode Mode>
 inline std::uint32_t fx_mul_raw_u32(std::uint32_t a, std::uint32_t b, int fraction_bits,
                                     [[maybe_unused]] std::uint32_t half,
@@ -218,8 +160,11 @@ inline std::uint32_t fx_mul_raw_u32(std::uint32_t a, std::uint32_t b, int fracti
   const std::uint64_t prod = static_cast<std::uint64_t>(a) * b;
   std::uint64_t kept;
   if constexpr (Mode == RoundingMode::kNearestEven) {
-    // Same carry-bias nearest-even as fx_mul_raw_u64; the bias cannot wrap
-    // (prod <= 2^60, half <= 2^29).
+    // round_shift_right's nearest-even via the carry bias: adding
+    // half - 1 + lsb(kept) carries into the kept bits exactly when the
+    // remainder is above the midpoint, or on it with kept odd — no
+    // compares, so the lane loop needs no mask registers.  The bias cannot
+    // wrap: prod <= 2^60 and half <= 2^29.
     kept = (prod + (half - std::uint64_t{1}) + ((prod >> fraction_bits) & 1)) >>
            fraction_bits;
   } else {
@@ -227,7 +172,7 @@ inline std::uint32_t fx_mul_raw_u32(std::uint32_t a, std::uint32_t b, int fracti
   }
   // `kept` may exceed 32 bits when fraction_bits is small; clamp into u32
   // before the lane-width saturation compare.  max_raw < 2^30, so the clamp
-  // saturates to the same value and the same verdict as the u64 compare.
+  // saturates to the same value and the same verdict as an unclamped compare.
   const std::uint32_t kept32 =
       kept > 0xffffffffull ? 0xffffffffu : static_cast<std::uint32_t>(kept);
   return detail::fx_sat_raw_u32(kept32, max_raw, ovf_mask);

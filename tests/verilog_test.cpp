@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "ac/transform.hpp"
+#include "bn/alarm.hpp"
+#include "compile/ve_compiler.hpp"
 #include "energy/op_models.hpp"
 #include "helpers.hpp"
 #include "hw/generator.hpp"
 #include "hw/netlist_energy.hpp"
 #include "hw/verilog.hpp"
+#include "problp/framework.hpp"
+#include "runtime/artifact.hpp"
 
 namespace problp::hw {
 namespace {
@@ -107,6 +111,45 @@ TEST(Verilog, BalancedModuleDelimiters) {
       if (v.compare(pos, 9, " endmodule") != 0) ++ends;
     }
     EXPECT_GE(ends, begins > 0 ? 1u : 0u);
+  }
+}
+
+// Byte-exact pins of the full pipeline's Verilog on ALARM (the CPT seed the
+// benchmark serves): any change to the emitter, the netlist generator or the
+// selected format shows up as a different length or digest.  The digests are
+// runtime::fnv1a64 over the whole emission.
+TEST(Verilog, AlarmEmissionGoldenDigests) {
+  using errormodel::QueryType;
+  using errormodel::ToleranceKind;
+  struct Golden {
+    errormodel::QuerySpec spec;
+    Representation::Kind kind;
+    std::size_t length;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {{QueryType::kMarginal, ToleranceKind::kAbsolute, 0.01}, Representation::Kind::kFixed,
+       832125, 0x5e770c83e3f307abULL},
+      {{QueryType::kConditional, ToleranceKind::kRelative, 0.01}, Representation::Kind::kFloat,
+       836145, 0x5d6d34bed6d21aacULL},
+      {{QueryType::kMpe, ToleranceKind::kAbsolute, 0.01}, Representation::Kind::kFloat,
+       833210, 0x7a017df0752d877fULL},
+  };
+  const Framework framework(compile::compile_network(bn::make_alarm_network(1990)));
+  for (const Golden& g : goldens) {
+    const AnalysisReport report = framework.analyze(g.spec);
+    ASSERT_TRUE(report.any_feasible);
+    ASSERT_EQ(report.selected.kind, g.kind);
+    if (g.spec.query == QueryType::kMarginal) {
+      EXPECT_EQ(report.selected.fixed, (lowprec::FixedFormat{1, 15}));
+    }
+    const std::string v = framework.generate_hardware(report).verilog;
+    if (g.spec.query == QueryType::kMpe) {
+      EXPECT_NE(v.find("  op_max u"), std::string::npos);
+    }
+    const std::uint64_t digest = runtime::fnv1a64(v.data(), v.size());
+    EXPECT_EQ(v.size(), g.length);
+    EXPECT_EQ(digest, g.digest) << "digest 0x" << std::hex << digest;
   }
 }
 
