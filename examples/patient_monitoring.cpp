@@ -5,8 +5,10 @@
 // queries through InferenceSessions, and the fixed-vs-float decision for
 // two different tolerance types on the same circuit.
 //
-// Build & run:  ./build/examples/patient_monitoring
+// Build & run:  ./build/examples/patient_monitoring [out.bif]
+// The exported BIF goes to `out.bif` (default /tmp/problp_alarm.bif).
 #include <cstdio>
+#include <string>
 
 #include "bn/bif.hpp"
 #include "compile/ve_compiler.hpp"
@@ -14,7 +16,7 @@
 #include "problp/validation.hpp"
 #include "runtime/session.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace problp;
 
   const datasets::Benchmark benchmark = datasets::make_alarm_benchmark(/*seed=*/1,
@@ -27,7 +29,7 @@ int main() {
               benchmark.circuit.stats().to_string().c_str());
 
   // Standard-format export, as distributed in BN repositories.
-  const std::string bif_path = "/tmp/problp_alarm.bif";
+  const std::string bif_path = argc > 1 ? argv[1] : "/tmp/problp_alarm.bif";
   bn::save_bif_file(alarm, bif_path, "alarm");
   std::printf("Exported network to %s (%zu bytes of BIF)\n", bif_path.c_str(),
               bn::to_bif(alarm).size());

@@ -31,10 +31,11 @@
 // computed flag-clean.
 //
 // --serve N pushes N sampled requests through the overload-safe async
-// front-end (src/serve/, docs/serving.md): a bounded queue, a coalescing
-// batcher, worker session pools, and an overload controller whose degrade
-// rung is the analysis' selected representation — degraded answers carry
-// that format and its analytic error bound.  Exit codes follow the same
+// front-end (src/serve/, docs/serving.md): --serve-workers shards, each a
+// bounded queue whose own worker thread cuts batches and serves them from
+// its session pool (no separate batcher thread), and an overload controller
+// whose degrade rung is the analysis' selected representation — degraded
+// answers carry that format and its analytic error bound.  Exit codes follow the same
 // contract as the rest of the CLI: any typed rejection/timeout/error among
 // the completions exits 3 (like surviving flags), a misconfigured queue
 // (e.g. --serve-batch larger than --serve-capacity) exits 2 with a
@@ -42,7 +43,7 @@
 // run exits 0.
 //
 // Try it on the bundled ALARM export:
-//   ./build/examples/patient_monitoring            # writes /tmp/problp_alarm.bif
+//   ./build/examples/patient_monitoring /tmp/problp_alarm.bif   # writes the BIF
 //   ./build/examples/problp_cli /tmp/problp_alarm.bif --query conditional
 //       --tolerance-kind rel --query-var HYPOVOLEMIA
 //       --evidence HRBP=HIGH,HREKG=HIGH --infer --batch 512   (one line)

@@ -5,9 +5,10 @@
 //
 // The three pressure valves, in the order they engage as load rises:
 //
-//   1. coalescing   — requests wait at most `flush_deadline` to ride a batch
-//                     of up to `batch_max` (bigger batches = the SIMD
-//                     engines' preferred shape).
+//   1. coalescing   — requests wait at most `flush_deadline` on their
+//                     shard's queue to ride a batch of up to `batch_max`
+//                     that the shard's worker cuts (bigger batches = the
+//                     SIMD engines' preferred shape).
 //   2. degradation  — past OverloadPolicy::degrade_depth (or an observed-p99
 //                     threshold), *new* requests are admitted onto the
 //                     configured lower-precision rung: cheaper to serve, and
@@ -15,7 +16,7 @@
 //                     analytic a-priori error bound, so the caller knows
 //                     exactly what it traded.
 //   3. shedding     — past OverloadPolicy::shed_depth (and always when the
-//                     bounded queue itself is full under FullPolicy::kReject,
+//                     bounded queues are full under FullPolicy::kReject,
 //                     or stays full past the block timeout under kBlock), new
 //                     requests complete immediately with a typed rejection.
 //                     The queue never grows without bound.
@@ -71,12 +72,12 @@ struct OverloadPolicy {
 };
 
 struct ServerOptions {
-  /// Bounded submission-queue capacity (requests submitted but not yet
-  /// flushed to a worker).  The hard memory bound: in-flight state never
-  /// exceeds capacity + workers' batches.
+  /// Bounded queue depth: requests admitted but not yet cut into a batch,
+  /// summed over all shards.  In-flight state never exceeds the slot pool
+  /// allocated at construction, capacity + workers * batch_max.
   std::size_t capacity = 1024;
 
-  /// What submit() does when the queue is full.
+  /// What submit() does when the server is full.
   enum class FullPolicy {
     kReject,  ///< complete immediately with kRejectedQueueFull
     kBlock,   ///< block the producer up to block_timeout, then reject
@@ -84,20 +85,18 @@ struct ServerOptions {
   FullPolicy full_policy = FullPolicy::kReject;
   util::Clock::Duration block_timeout = std::chrono::milliseconds(100);
 
-  /// Coalescing batcher: flush when this many requests are pending...
+  /// Coalescing: a shard's worker cuts a batch when this many requests are
+  /// queued on its shard...
   std::size_t batch_max = 64;
-  /// ...or when the oldest pending request has waited this long.  This is
+  /// ...or when the oldest queued request has waited this long.  This is
   /// the p99-latency knob: no request waits in the queue longer than
-  /// flush_deadline before dispatch (its own deadline permitting).
+  /// flush_deadline before its worker cuts it (its own deadline permitting).
   util::Clock::Duration flush_deadline = std::chrono::milliseconds(2);
 
-  /// Worker shards; each owns its InferenceSession pool (base + degraded
-  /// tiers), so shards never contend on evaluator scratch state.
+  /// Shards: each is one queue plus one worker thread that batches and
+  /// serves it with its own InferenceSession pool (base + degraded tiers).
+  /// submit() routes round-robin, batch_max consecutive requests per shard.
   int workers = 1;
-  /// Bound on flushed-but-unserved batches (0 = 2 * workers).  When full
-  /// the batcher stalls, the submission queue fills, and backpressure
-  /// reaches producers — growth stays bounded end to end.
-  std::size_t max_pending_batches = 0;
 
   /// Base-tier backend every worker session is built with (exact double by
   /// default; set `session.representation` to serve low-precision, plus
@@ -114,9 +113,9 @@ struct ServerOptions {
   /// util::ManualClock to drive flush deadlines and timeouts by hand.
   std::shared_ptr<util::Clock> clock;
 
-  /// Test seam: called by a worker when it picks up a batch, *before* the
-  /// post-flush deadline re-check — lets tests hold a flushed batch while
-  /// they advance the clock.  Never set in production.
+  /// Test seam: called by a worker when it has cut a batch, *before* the
+  /// post-flush deadline re-check — lets tests hold a cut batch while they
+  /// advance the clock.  Never set in production.
   std::function<void()> test_worker_hook;
 
   /// Throws InvalidArgument (found-vs-expected message) on any

@@ -1,7 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 
 #include "util/fault_injection.hpp"
@@ -16,26 +20,49 @@ bool same_repr(const Representation& a, const Representation& b) {
   return a.kind == Representation::Kind::kFixed ? a.fixed == b.fixed : a.flt == b.flt;
 }
 
+runtime::SessionOptions degraded_session_options(const ServerOptions& options) {
+  const DegradedTier& d = *options.overload.degraded;
+  runtime::SessionOptions opts = runtime::SessionOptions::low_precision(d.repr, d.rounding);
+  opts.batch = options.session.batch;
+  return opts;
+}
+
 }  // namespace
 
-// Per-worker session pool: the base tier is built with the thread (engines
+// One bounded queue plus the worker that batches and serves it.  The queue
+// is reserved to `capacity` — admission bounds the summed depth by it — so
+// pushes never reallocate and cuts never free.
+struct Server::Shard {
+  std::mutex mu;
+  std::condition_variable cv;   ///< arrivals and shutdown wake the worker
+  std::vector<Pending*> queue;  ///< FIFO; guarded by mu, like every field below
+  std::size_t deadlines = 0;    ///< queued requests with a finite deadline
+  bool waiting = false;         ///< the worker is blocked in wait_until
+  std::thread worker;
+};
+
+// Per-worker session pool — the base tier is built with the thread (engines
 // inside are lazy), the degraded tier only when this shard first serves a
-// degraded batch.
-struct Server::WorkerSessions {
+// degraded batch — plus per-batch scratch reserved once, so serving a batch
+// allocates nothing per request.
+struct Server::Worker {
   Server& server;
   runtime::InferenceSession base;
   std::optional<runtime::InferenceSession> degraded;
 
-  explicit WorkerSessions(Server& s) : server(s), base(s.model_, s.options_.session) {}
+  std::vector<Pending*> batch;  ///< cut batch or expired requests, back to the pool after
+  std::vector<ac::PartialAssignment> evidence;  ///< a group's evidence, lent by its slots
+  std::vector<util::Clock::Duration> latencies;
+
+  explicit Worker(Server& s) : server(s), base(s.model_, s.options_.session) {
+    batch.reserve(s.options_.batch_max);
+    evidence.reserve(s.options_.batch_max);
+    latencies.reserve(s.options_.batch_max);
+  }
 
   runtime::InferenceSession& for_tier(Tier tier) {
     if (tier == Tier::kDegraded && server.options_.overload.degraded) {
-      if (!degraded) {
-        const DegradedTier& d = *server.options_.overload.degraded;
-        runtime::SessionOptions opts = runtime::SessionOptions::low_precision(d.repr, d.rounding);
-        opts.batch = server.options_.session.batch;
-        degraded.emplace(server.model_, opts);
-      }
+      if (!degraded) degraded.emplace(server.model_, degraded_session_options(server.options_));
       return *degraded;
     }
     return base;
@@ -47,24 +74,23 @@ Server::Server(std::shared_ptr<const runtime::CompiledModel> model, ServerOption
   require(model_ != nullptr, "serve: Server: null model");
   options_.validate();
   clock_ = options_.clock ? options_.clock : util::Clock::steady();
-  max_pending_batches_ = options_.max_pending_batches == 0
-                             ? 2 * static_cast<std::size_t>(options_.workers)
-                             : options_.max_pending_batches;
   // Surface session misconfiguration on the constructing thread, not as an
   // exception escaping a worker thread minutes later: build (and discard) a
   // probe session per tier.  Sessions are scratch-only until their first
   // query, so this is cheap.
   { runtime::InferenceSession probe(model_, options_.session); }
   if (options_.overload.degraded) {
-    const DegradedTier& d = *options_.overload.degraded;
-    runtime::SessionOptions opts = runtime::SessionOptions::low_precision(d.repr, d.rounding);
-    opts.batch = options_.session.batch;
-    runtime::InferenceSession probe(model_, opts);
+    runtime::InferenceSession probe(model_, degraded_session_options(options_));
   }
-  batcher_ = std::thread([this] { batcher_main(); });
-  workers_.reserve(static_cast<std::size_t>(options_.workers));
-  for (int w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back([this] { worker_main(); });
+  const auto workers = static_cast<std::size_t>(options_.workers);
+  slots_ = std::vector<Pending>(options_.capacity + workers * options_.batch_max);
+  free_.reserve(slots_.size());
+  for (Pending& slot : slots_) free_.push_back(&slot);
+  shards_ = std::make_unique<Shard[]>(workers);
+  for (std::size_t w = 0; w < workers; ++w) shards_[w].queue.reserve(options_.capacity);
+  for (std::size_t w = 0; w < workers; ++w) {
+    Shard& shard = shards_[w];
+    shard.worker = std::thread([this, &shard] { worker_main(shard); });
   }
 }
 
@@ -109,381 +135,362 @@ std::future<Response> Server::submit_internal(Request request,
             "serve: conditional request: query_var must be unobserved in the evidence");
   }
 
-  auto pending = std::make_unique<Pending>();
-  pending->request = std::move(request);
-  pending->callback = std::move(done);
-  std::future<Response> future;
-  if (!pending->callback) future = pending->promise.emplace().get_future();
-  ++counters_.submitted;
-
-  std::unique_lock<std::mutex> lock(mu_);
+  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   const util::Clock::TimePoint now = clock_->now();
-  pending->enqueued = now;
-  if (pending->request.timeout) pending->deadline = now + *pending->request.timeout;
-
-  if (stopping_) {
-    lock.unlock();
-    complete_rejection(std::move(pending), Status::kRejectedShutdown,
-                       "serve: server is shutting down");
-    return future;
+  if (stopping_.load()) {
+    return reject(std::move(done), now, Status::kRejectedShutdown,
+                  "serve: server is shutting down");
   }
   // serve.enqueue forces the queue-full rejection path — the same typed
-  // completion a physically full queue produces under FullPolicy::kReject.
+  // completion a physically full server produces under FullPolicy::kReject.
   if (util::fault_point("serve.enqueue")) {
-    lock.unlock();
-    complete_rejection(std::move(pending), Status::kRejectedQueueFull,
-                       "serve: injected fault at serve.enqueue — submission queue full");
-    return future;
+    return reject(std::move(done), now, Status::kRejectedQueueFull,
+                  "serve: injected fault at serve.enqueue — submission queue full");
   }
-  if (queue_.size() >= options_.overload.shed_depth) {
-    const std::size_t depth = queue_.size();
-    lock.unlock();
-    complete_rejection(std::move(pending), Status::kRejectedOverload,
-                       str_format("serve: overload shed — queue depth %zu >= shed threshold %zu",
-                                  depth, options_.overload.shed_depth));
-    return future;
+  // A producer that blocked stays counted until its request has landed in
+  // a queue or completed, so an observer that sees no blocked producer
+  // knows every one it admitted is queued.
+  bool blocked = false;
+  const auto unblock = [&] {
+    if (blocked) counters_.producers_blocked.fetch_sub(1);
+    blocked = false;
+  };
+  // Reserve a place in the summed depth before taking a slot.  The
+  // reservation is what makes capacity exact under concurrent producers.
+  std::size_t depth = queued_.fetch_add(1);
+  if (depth >= options_.overload.shed_depth) {
+    unreserve(1);
+    return reject(std::move(done), now, Status::kRejectedOverload,
+                  str_format("serve: overload shed — queue depth %zu >= shed threshold %zu",
+                             depth, options_.overload.shed_depth));
   }
-  if (queue_.size() >= options_.capacity) {
+  if (depth >= options_.capacity) {
+    unreserve(1);
     if (options_.full_policy == ServerOptions::FullPolicy::kReject) {
-      lock.unlock();
-      complete_rejection(std::move(pending), Status::kRejectedQueueFull,
-                         str_format("serve: submission queue full (capacity %zu)",
-                                    options_.capacity));
-      return future;
+      return reject(std::move(done), now, Status::kRejectedQueueFull,
+                    str_format("serve: submission queue full (capacity %zu)", options_.capacity));
     }
     // Block-with-timeout backpressure: the producer waits for space, but
     // never forever — a stalled pipeline turns into a typed rejection, not
-    // a wedged client.
+    // a wedged client.  Workers wake blocked producers whenever they free
+    // depth (see unreserve).
+    blocked = true;
+    counters_.producers_blocked.fetch_add(1);
     const util::Clock::TimePoint block_deadline = now + options_.block_timeout;
-    ++counters_.producers_blocked;
-    while (queue_.size() >= options_.capacity && !stopping_ &&
-           clock_->now() < block_deadline) {
+    std::unique_lock<std::mutex> lock(admit_mu_);
+    while ((depth = queued_.fetch_add(1)) >= options_.capacity) {
+      queued_.fetch_sub(1);
+      if (stopping_.load() || clock_->now() >= block_deadline) {
+        lock.unlock();
+        unblock();
+        if (stopping_.load()) {
+          return reject(std::move(done), now, Status::kRejectedShutdown,
+                        "serve: server shut down while blocked on a full queue");
+        }
+        return reject(
+            std::move(done), now, Status::kRejectedQueueFull,
+            str_format("serve: submission queue still full after block timeout (capacity %zu)",
+                       options_.capacity));
+      }
       clock_->wait_until(cv_not_full_, lock, block_deadline);
     }
-    --counters_.producers_blocked;
-    if (stopping_) {
+  }
+  const Tier tier = admission_tier(depth);
+
+  Pending* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(free_mu_);
+    // Cannot run dry: queued requests hold at most `capacity` slots and
+    // each worker's cut batch at most batch_max.
+    assert(!free_.empty());
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Pending& pending = *slot;
+  // Assigning the request releases the evidence buffer the slot's previous
+  // request handed back — here, on a submitting thread, never on a worker.
+  pending.request = std::move(request);
+  pending.callback = std::move(done);
+  std::future<Response> future;
+  pending.promise.reset();
+  if (!pending.callback) future = pending.promise.emplace().get_future();
+  pending.enqueued = now;
+  pending.deadline = pending.request.timeout ? now + *pending.request.timeout
+                                             : util::Clock::TimePoint::max();
+  pending.tier = tier;
+  pending.completed.store(false, std::memory_order_relaxed);
+  const bool has_deadline = pending.deadline != util::Clock::TimePoint::max();
+
+  // Round-robin in runs of batch_max: consecutive requests fill one shard's
+  // batch instead of trickling into every shard's at 1/workers the rate.
+  const std::size_t workers = static_cast<std::size_t>(options_.workers);
+  const std::size_t ticket =
+      workers == 1 ? 0 : next_shard_.fetch_add(1, std::memory_order_relaxed);
+  Shard& shard = shards_[ticket / options_.batch_max % workers];
+  bool wake = false;
+  {
+    std::unique_lock<std::mutex> lock(shard.mu);
+    // Checked under the shard lock: shutdown sets stopping_ before it takes
+    // each shard's lock, so a request either lands before shutdown sees the
+    // queue or is refused here — never stranded.
+    if (stopping_.load()) {
       lock.unlock();
-      complete_rejection(std::move(pending), Status::kRejectedShutdown,
-                         "serve: server shut down while blocked on a full queue");
+      unblock();
+      complete_rejection(pending, Status::kRejectedShutdown, "serve: server is shutting down");
+      release({&slot, 1}, 1);
       return future;
     }
-    if (queue_.size() >= options_.capacity) {
-      lock.unlock();
-      complete_rejection(
-          std::move(pending), Status::kRejectedQueueFull,
-          str_format("serve: submission queue still full after block timeout (capacity %zu)",
-                     options_.capacity));
-      return future;
-    }
+    shard.queue.push_back(slot);
+    if (has_deadline) ++shard.deadlines;
+    // Wake the worker only when its plan can change: the first request arms
+    // the linger timer, the batch_max-th makes a full batch, and a finite
+    // deadline may be earlier than the sleep it already computed.  A busy
+    // worker re-reads the queue before it sleeps again.
+    wake = shard.waiting &&
+           (shard.queue.size() == 1 || shard.queue.size() == options_.batch_max || has_deadline);
   }
-  pending->tier = admission_tier(queue_.size());
-  if (pending->tier == Tier::kDegraded) ++counters_.degraded_admitted;
-  const bool was_empty = queue_.empty();
-  const bool has_deadline = pending->deadline != util::Clock::TimePoint::max();
-  if (has_deadline) ++queue_deadlines_;
-  queue_.push_back(std::move(pending));
-  // Size-triggered flushes are cut right here on the submitting thread: at
-  // saturation every batch is size-cut, and routing each one through the
-  // batcher costs a futex wake plus two context switches per batch.  The
-  // batcher still owns deadline/linger flushes and the drain; when the
-  // batch queue is full the cut is left to it (the worker's slot-freed
-  // notify wakes it), so backpressure behaves identically.
-  if (queue_.size() >= options_.batch_max && batches_.size() < max_pending_batches_ &&
-      !stopping_) {
-    // Fresh stamp: under FullPolicy::kBlock `now` can predate a long wait.
-    flush_locked(lock, clock_->now(), /*by_size=*/true);
-  }
-  // Wake the batcher only when its wake plan can change: the first request
-  // arms the linger timer, and a finite deadline may be earlier than the
-  // sleep it already computed.  Every other submit would wake it just to
-  // re-sleep — on a saturated machine that futex round-trip per request
-  // costs more than the flush.
-  const bool wake = was_empty || has_deadline;
-  lock.unlock();
-  if (wake) cv_batcher_.notify_one();
+  unblock();
+  if (tier == Tier::kDegraded) counters_.degraded_admitted.fetch_add(1, std::memory_order_relaxed);
+  if (wake) shard.cv.notify_one();
   return future;
+}
+
+std::future<Response> Server::reject(std::function<void(Response)> done,
+                                     util::Clock::TimePoint enqueued, Status status,
+                                     const std::string& message) {
+  Pending local;
+  local.callback = std::move(done);
+  std::future<Response> future;
+  if (!local.callback) future = local.promise.emplace().get_future();
+  local.enqueued = enqueued;
+  complete_rejection(local, status, message);
+  return future;
+}
+
+void Server::release(std::span<Pending* const> slots, std::size_t reserved) {
+  {
+    std::lock_guard<std::mutex> lock(free_mu_);
+    free_.insert(free_.end(), slots.begin(), slots.end());
+  }
+  if (reserved != 0) unreserve(reserved);
+}
+
+void Server::unreserve(std::size_t n) {
+  // Sequentially consistent with the blocked producer's own increment of
+  // producers_blocked before it re-reads queued_: either this load sees the
+  // producer, or the producer sees the freed depth.
+  queued_.fetch_sub(n);
+  if (counters_.producers_blocked.load() != 0) {
+    { std::lock_guard<std::mutex> lock(admit_mu_); }
+    cv_not_full_.notify_all();
+  }
 }
 
 // ---- completion funnel -----------------------------------------------------
 
-void Server::complete(PendingPtr pending, Response&& response) {
+bool Server::complete(Pending& pending, Response&& response) {
   // Exactly-once: the first completion wins; a second is counted as the bug
   // it would be (the drain and stress tests assert this stays 0) and
   // dropped rather than crossing a std::promise twice.
-  if (pending->completed.exchange(true)) {
-    ++counters_.double_completions;
-    return;
+  if (pending.completed.exchange(true)) {
+    counters_.double_completions.fetch_add(1);
+    return false;
   }
-  switch (response.status) {
-    case Status::kOk:
-      ++counters_.completed_ok;
-      break;
-    case Status::kTimeout:
-      ++counters_.timed_out;
-      break;
-    case Status::kRejectedQueueFull:
-      ++counters_.rejected_queue_full;
-      break;
-    case Status::kRejectedOverload:
-      ++counters_.rejected_overload;
-      break;
-    case Status::kRejectedShutdown:
-      ++counters_.rejected_shutdown;
-      break;
-    case Status::kError:
-      ++counters_.errors;
-      break;
-  }
-  // Exactly one channel is engaged (see Pending): the callback flavour
-  // never pays the promise's shared-state allocation and set_value mutex.
-  if (pending->callback) {
-    std::function<void(Response)> callback = std::move(pending->callback);
-    callback(std::move(response));
+  if (response.status != Status::kOk) counters_.count(response.status).fetch_add(1);
+  // Exactly one channel is engaged (see Pending).  Both stay in the slot
+  // after completing, so nothing is freed here, on a server thread.
+  if (pending.callback) {
+    pending.callback(std::move(response));
   } else {
-    pending->promise->set_value(std::move(response));
+    pending.promise->set_value(std::move(response));
   }
+  return true;
 }
 
-void Server::complete_rejection(PendingPtr pending, Status status, const std::string& message) {
+void Server::complete_rejection(Pending& pending, Status status, const std::string& message) {
   Response response;
   response.status = status;
   response.message = message;
-  response.tier = pending->tier;
-  const util::Clock::TimePoint now = clock_->now();
-  response.queue_wait = now - pending->enqueued;
+  response.tier = pending.tier;
+  response.queue_wait = clock_->now() - pending.enqueued;
   response.latency = response.queue_wait;
-  complete(std::move(pending), std::move(response));
+  complete(pending, std::move(response));
 }
 
-void Server::complete_timeout(PendingPtr pending, bool after_flush) {
-  if (after_flush) ++counters_.timed_out_after_flush;
-  Response response;
-  response.status = Status::kTimeout;
-  response.message = after_flush
-                         ? "serve: deadline exceeded after flush, before evaluation"
-                         : "serve: deadline exceeded while queued";
-  response.tier = pending->tier;
-  const util::Clock::TimePoint now = clock_->now();
-  response.queue_wait = now - pending->enqueued;
-  response.latency = response.queue_wait;
-  complete(std::move(pending), std::move(response));
-}
-
-// ---- batcher ---------------------------------------------------------------
-
-void Server::flush_locked(std::unique_lock<std::mutex>& lock, util::Clock::TimePoint now,
-                          bool by_size) {
-  Batch batch;
-  const std::size_t n = std::min(queue_.size(), options_.batch_max);
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    queue_.front()->flushed = now;
-    if (queue_.front()->deadline != util::Clock::TimePoint::max()) --queue_deadlines_;
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  (by_size ? counters_.flushes_by_size : counters_.flushes_by_deadline).fetch_add(1);
-  if (util::fault_point("serve.flush")) {
-    // A failed dispatch must still complete every member exactly once —
-    // the real mid-flush error path, driven deterministically.
-    lock.unlock();
-    for (PendingPtr& p : batch) {
-      complete_rejection(std::move(p), Status::kError,
-                         "serve: injected fault at serve.flush — batch dispatch failed");
-    }
-    cv_not_full_.notify_all();
-    lock.lock();
-    return;
-  }
-  batches_.push_back(std::move(batch));
-  lock.unlock();
-  cv_work_.notify_one();
-  cv_not_full_.notify_all();
-  lock.lock();
-}
-
-void Server::batcher_main() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    const util::Clock::TimePoint now = clock_->now();
-
-    // Expired requests leave the queue as typed timeouts — before any flush
-    // decision, so an expired request is never silently evaluated.  The
-    // sweep is O(depth), so it only runs while some queued request actually
-    // carries a deadline (queue_deadlines_ tracks that across every path a
-    // request leaves the queue by).
-    if (queue_deadlines_ > 0) {
-      std::vector<PendingPtr> expired;
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        if ((*it)->deadline <= now) {
-          --queue_deadlines_;
-          expired.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      if (!expired.empty()) {
-        lock.unlock();
-        for (PendingPtr& p : expired) complete_timeout(std::move(p), false);
-        cv_not_full_.notify_all();
-        lock.lock();
-        continue;
-      }
-    }
-
-    bool flush = false;
-    bool by_size = false;
-    if (!queue_.empty()) {
-      if (queue_.size() >= options_.batch_max) {
-        flush = true;
-        by_size = true;
-      } else if (stopping_ && drain_) {
-        flush = true;  // drain: flush the backlog without waiting for the linger
-      } else if (now - queue_.front()->enqueued >= options_.flush_deadline) {
-        flush = true;
-      }
-    }
-
-    if (flush) {
-      if (batches_.size() >= max_pending_batches_) {
-        // Workers are behind; stall here so the submission queue fills and
-        // backpressure reaches producers instead of batches piling up.
-        cv_batcher_.wait(lock);
-        continue;
-      }
-      flush_locked(lock, now, by_size);
-      continue;
-    }
-
-    if (stopping_ && queue_.empty()) break;
-
-    // Sleep until the earliest actionable instant: the oldest request's
-    // linger deadline or any request's own deadline, whichever is sooner.
-    util::Clock::TimePoint next = util::Clock::TimePoint::max();
-    if (!queue_.empty()) {
-      next = queue_.front()->enqueued + options_.flush_deadline;
-      if (queue_deadlines_ > 0) {
-        for (const PendingPtr& p : queue_) next = std::min(next, p->deadline);
-      }
-    }
-    clock_->wait_until(cv_batcher_, lock, next);
-  }
-  batcher_done_ = true;
-  lock.unlock();
-  cv_work_.notify_all();
+void Server::complete_timeout(Pending& pending, bool after_flush) {
+  if (after_flush) counters_.timed_out_after_flush.fetch_add(1);
+  complete_rejection(pending, Status::kTimeout,
+                     after_flush ? "serve: deadline exceeded after flush, before evaluation"
+                                 : "serve: deadline exceeded while queued");
 }
 
 // ---- workers ---------------------------------------------------------------
 
-void Server::worker_main() {
-  WorkerSessions sessions(*this);
-  std::unique_lock<std::mutex> lock(mu_);
+void Server::worker_main(Shard& shard) {
+  Worker worker(*this);
+  const std::size_t batch_max = options_.batch_max;
+  std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
-    while (batches_.empty() && !batcher_done_) cv_work_.wait(lock);
-    if (batches_.empty()) break;  // batcher finished and the backlog is served
-    Batch batch = std::move(batches_.front());
-    batches_.pop_front();
-    lock.unlock();
-    cv_batcher_.notify_one();  // batch-queue slot freed
-    process_batch(sessions, std::move(batch));
-    lock.lock();
-  }
-}
+    const util::Clock::TimePoint now = clock_->now();
 
-void Server::process_batch(WorkerSessions& sessions, Batch batch) {
-  if (options_.test_worker_hook) options_.test_worker_hook();
-  // Deadlines are re-checked after pickup: a request that expired between
-  // flush and evaluation is a typed timeout, not a stale answer.
-  const util::Clock::TimePoint now = clock_->now();
-  for (PendingPtr& p : batch) {
-    if (p->deadline <= now) complete_timeout(std::move(p), true);
-  }
-  // One batched session call per homogeneous group: batches are coalesced
-  // across requests, so a flush can mix query kinds and tiers.  Groups are
-  // found by linear scan — a saturated batch is almost always one group
-  // (same query, same var, same tier), and the distinct-group count is tiny
-  // even when it is not, so this stays allocation-light where a map would
-  // pay a node per request.
-  struct Group {
-    int query;
-    int query_var;
-    int tier;
-    std::vector<std::size_t> indices;
-  };
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!batch[i]) continue;  // timed out above
-    const Pending& p = *batch[i];
-    const int query = static_cast<int>(p.request.query);
-    const int tier = static_cast<int>(p.tier);
-    Group* group = nullptr;
-    for (Group& g : groups) {
-      if (g.query == query && g.query_var == p.request.query_var && g.tier == tier) {
-        group = &g;
-        break;
+    // Expired requests leave the queue as typed timeouts — before any cut
+    // decision, so an expired request is never silently evaluated.  The
+    // sweep is O(depth), so it only runs while some queued request actually
+    // carries a deadline.
+    std::vector<Pending*>& queue = shard.queue;
+    if (shard.deadlines > 0) {
+      std::size_t kept = 0;
+      for (Pending* p : queue) {
+        if (p->deadline <= now) {
+          --shard.deadlines;
+          worker.batch.push_back(p);
+        } else {
+          queue[kept++] = p;
+        }
+      }
+      queue.resize(kept);
+    }
+    const bool expired = !worker.batch.empty();
+    const bool stopping = stopping_.load();
+    // Otherwise cut on size, on the oldest request's linger, or — draining —
+    // at once.
+    if (!expired && !queue.empty() &&
+        (queue.size() >= batch_max || (stopping && drain_.load()) ||
+         now - queue.front()->enqueued >= options_.flush_deadline)) {
+      (queue.size() >= batch_max ? counters_.flushes_by_size : counters_.flushes_by_deadline)
+          .fetch_add(1);
+      const auto cut = queue.begin() + static_cast<long>(std::min(queue.size(), batch_max));
+      for (auto it = queue.begin(); it != cut; ++it) {
+        (*it)->flushed = now;
+        if ((*it)->deadline != util::Clock::TimePoint::max()) --shard.deadlines;
+      }
+      worker.batch.assign(queue.begin(), cut);
+      queue.erase(queue.begin(), cut);
+    }
+    if (!worker.batch.empty()) {
+      lock.unlock();
+      if (expired) {
+        for (Pending* p : worker.batch) complete_timeout(*p, false);
+      } else {
+        unreserve(worker.batch.size());  // the cut frees queue space while it evaluates
+        process_batch(worker);
+      }
+      // Expired requests release their depth only with their slots, so
+      // admission never reserves a place whose slot is still held here.
+      release(worker.batch, expired ? worker.batch.size() : 0);
+      worker.batch.clear();
+      lock.lock();
+      continue;
+    }
+
+    if (stopping && queue.empty()) break;
+
+    // Sleep until the earliest actionable instant: the oldest request's
+    // linger deadline or any request's own deadline, whichever is sooner.
+    util::Clock::TimePoint next = util::Clock::TimePoint::max();
+    if (!queue.empty()) {
+      next = queue.front()->enqueued + options_.flush_deadline;
+      if (shard.deadlines > 0) {
+        for (const Pending* p : queue) next = std::min(next, p->deadline);
       }
     }
-    if (!group) {
-      groups.push_back(Group{query, p.request.query_var, tier, {}});
-      group = &groups.back();
-      group->indices.reserve(batch.size());
-    }
-    group->indices.push_back(i);
+    shard.waiting = true;
+    clock_->wait_until(shard.cv, lock, next);
+    shard.waiting = false;
   }
-  if (groups.empty()) return;
-  ++counters_.batches_evaluated;
-  for (Group& g : groups) evaluate_group(sessions, batch, g.indices);
 }
 
-void Server::evaluate_group(WorkerSessions& sessions, Batch& batch,
-                            const std::vector<std::size_t>& indices) {
-  const Tier tier = batch[indices.front()]->tier;
-  const errormodel::QueryType query = batch[indices.front()]->request.query;
-  const int query_var = batch[indices.front()]->request.query_var;
+void Server::process_batch(Worker& worker) {
+  std::vector<Pending*>& batch = worker.batch;
+  if (util::fault_point("serve.flush")) {
+    // A failed cut must still complete every member exactly once — the real
+    // mid-flush error path, driven deterministically.
+    for (Pending* p : batch) {
+      complete_rejection(*p, Status::kError,
+                         "serve: injected fault at serve.flush — batch dispatch failed");
+    }
+    return;
+  }
+  if (options_.test_worker_hook) options_.test_worker_hook();
+  // Deadlines are re-checked after the cut: a request that expired between
+  // the cut and evaluation is a typed timeout, not a stale answer.
+  const util::Clock::TimePoint now = clock_->now();
+  const auto live_end = std::partition(batch.begin(), batch.end(),
+                                       [&](const Pending* p) { return p->deadline > now; });
+  for (auto it = live_end; it != batch.end(); ++it) complete_timeout(**it, true);
+  if (live_end == batch.begin()) return;
+  counters_.batches_evaluated.fetch_add(1);
+  // One batched session call per homogeneous group (same query, query_var
+  // and tier); sorting on that key lines the groups up.  A saturated batch
+  // is almost always one group.
+  const auto key = [](const Pending* p) {
+    return std::tuple(p->request.query, p->request.query_var, p->tier);
+  };
+  std::sort(batch.begin(), live_end,
+            [&](const Pending* a, const Pending* b) { return key(a) < key(b); });
+  for (auto first = batch.begin(); first != live_end;) {
+    const auto last =
+        std::find_if(first, live_end, [&](const Pending* p) { return key(p) != key(*first); });
+    evaluate_group(worker, {first, last});
+    first = last;
+  }
+}
+
+void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
+  const Tier tier = group.front()->tier;
+  const errormodel::QueryType query = group.front()->request.query;
+  const int query_var = group.front()->request.query_var;
+  // The slots lend their evidence to the batched call and get it back
+  // right after, so no buffer is freed on this thread.
+  worker.evidence.clear();
+  for (Pending* p : group) worker.evidence.push_back(std::move(p->request.evidence));
+  bool returned = false;
+  const auto return_evidence = [&] {
+    if (returned) return;
+    returned = true;
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      group[j]->request.evidence = std::move(worker.evidence[j]);
+    }
+  };
+  std::uint64_t ok = 0;
   try {
     // serve.worker mirrors batch.worker: a *foreign* exception from the
     // serving thread's evaluation, driven deterministically.
     if (util::fault_point("serve.worker")) {
       throw std::runtime_error("injected fault: serve.worker evaluation failed");
     }
-    runtime::InferenceSession& session = sessions.for_tier(tier);
-    std::vector<ac::PartialAssignment> evidence;
-    evidence.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      evidence.push_back(std::move(batch[i]->request.evidence));
-    }
-
-    std::vector<double> values;
+    runtime::InferenceSession& session = worker.for_tier(tier);
+    const std::vector<double>* values = nullptr;
     std::vector<std::vector<double>> posteriors;
     if (query == errormodel::QueryType::kConditional) {
-      posteriors = session.conditional(query_var, evidence);
+      posteriors = session.conditional(query_var, worker.evidence);
     } else if (query == errormodel::QueryType::kMpe) {
-      values = session.mpe(evidence);
+      values = &session.mpe(worker.evidence);
     } else {
-      values = session.marginal(evidence);
+      values = &session.marginal(worker.evidence);
     }
     const std::vector<runtime::QueryProvenance>& provenance = session.last_provenance();
+    return_evidence();
 
     const util::Clock::TimePoint done = clock_->now();
-    // Latencies are recorded before any member completes: a client that
-    // observes a completion may submit again immediately, and its admission
-    // must see a p99 window that already includes the batch it just waited
-    // on (the ManualClock p99-trigger test pins this ordering down).
-    std::vector<util::Clock::Duration> latencies;
-    latencies.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      latencies.push_back(done - batch[i]->enqueued);
+    // Latencies feed only the degrade_p99 trigger, and are recorded before
+    // any member completes: a client that observes a completion may submit
+    // again immediately, and its admission must see a p99 window that
+    // already includes the batch it just waited on (the ManualClock
+    // p99-trigger test pins this ordering down).
+    if (options_.overload.degrade_p99) {
+      worker.latencies.clear();
+      for (const Pending* p : group) worker.latencies.push_back(done - p->enqueued);
+      latency_.record_many(worker.latencies);
     }
-    latency_.record_many(latencies);
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      PendingPtr pending = std::move(batch[indices[j]]);
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      Pending& pending = *group[j];
       Response response;
       response.status = Status::kOk;
       if (query == errormodel::QueryType::kConditional) {
         response.posterior = std::move(posteriors[j]);
       } else {
-        response.value = values[j];
+        response.value = (*values)[j];
       }
       response.tier = tier;
       const runtime::QueryProvenance& prov = provenance[j];
@@ -503,51 +510,52 @@ void Server::evaluate_group(WorkerSessions& sessions, Batch& batch,
           response.error_bound = options_.base_error_bound;
         }
       }
-      response.queue_wait = pending->flushed - pending->enqueued;
-      response.latency = latencies[j];
-      complete(std::move(pending), std::move(response));
+      response.queue_wait = pending.flushed - pending.enqueued;
+      response.latency = done - pending.enqueued;
+      ok += complete(pending, std::move(response)) ? 1 : 0;
     }
   } catch (const std::exception& e) {
-    // The whole group shares the failed sweep; each member still completes
-    // exactly once, as a typed error, and the worker thread survives.
-    for (const std::size_t i : indices) {
-      if (!batch[i]) continue;
-      complete_rejection(std::move(batch[i]), Status::kError,
-                         str_format("serve: worker evaluation failed: %s", e.what()));
+    // The whole group shares the failed sweep; each member not yet
+    // completed completes exactly once, as a typed error, and the worker
+    // thread survives.
+    return_evidence();
+    const std::string message = str_format("serve: worker evaluation failed: %s", e.what());
+    for (Pending* p : group) {
+      if (!p->completed.load()) complete_rejection(*p, Status::kError, message);
     }
   }
+  counters_.count(Status::kOk).fetch_add(ok, std::memory_order_relaxed);
 }
 
 // ---- shutdown & stats ------------------------------------------------------
 
 void Server::shutdown(bool drain) {
-  std::vector<PendingPtr> cancelled;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!stopping_) {
-      stopping_ = true;
-      drain_ = drain;
-    }
-    if (!drain_) {
-      while (!queue_.empty()) {
-        cancelled.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queue_deadlines_ = 0;
-    }
-  }
-  cv_batcher_.notify_all();
-  cv_not_full_.notify_all();
-  cv_work_.notify_all();
-  for (PendingPtr& p : cancelled) {
-    complete_rejection(std::move(p), Status::kRejectedShutdown,
-                       "serve: server shut down before the request was flushed");
-  }
   std::lock_guard<std::mutex> join_lock(shutdown_mu_);
   if (joined_) return;
-  if (batcher_.joinable()) batcher_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  drain_.store(drain);
+  stopping_.store(true);
+  std::vector<Pending*> cancelled;
+  for (std::size_t w = 0; w < static_cast<std::size_t>(options_.workers); ++w) {
+    Shard& shard = shards_[w];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (!drain) {
+        cancelled.insert(cancelled.end(), shard.queue.begin(), shard.queue.end());
+        shard.queue.clear();
+        shard.deadlines = 0;
+      }
+    }
+    shard.cv.notify_all();
+  }
+  { std::lock_guard<std::mutex> lock(admit_mu_); }
+  cv_not_full_.notify_all();
+  for (Pending* p : cancelled) {
+    complete_rejection(*p, Status::kRejectedShutdown,
+                       "serve: server shut down before the request was flushed");
+  }
+  release(cancelled, cancelled.size());
+  for (std::size_t w = 0; w < static_cast<std::size_t>(options_.workers); ++w) {
+    if (shards_[w].worker.joinable()) shards_[w].worker.join();
   }
   joined_ = true;
 }
@@ -555,23 +563,20 @@ void Server::shutdown(bool drain) {
 StatsSnapshot Server::stats() const {
   StatsSnapshot s;
   s.submitted = counters_.submitted.load();
-  s.completed_ok = counters_.completed_ok.load();
-  s.timed_out = counters_.timed_out.load();
+  s.completed_ok = counters_.count(Status::kOk);
+  s.timed_out = counters_.count(Status::kTimeout);
   s.timed_out_after_flush = counters_.timed_out_after_flush.load();
-  s.rejected_queue_full = counters_.rejected_queue_full.load();
-  s.rejected_overload = counters_.rejected_overload.load();
-  s.rejected_shutdown = counters_.rejected_shutdown.load();
-  s.errors = counters_.errors.load();
+  s.rejected_queue_full = counters_.count(Status::kRejectedQueueFull);
+  s.rejected_overload = counters_.count(Status::kRejectedOverload);
+  s.rejected_shutdown = counters_.count(Status::kRejectedShutdown);
+  s.errors = counters_.count(Status::kError);
   s.degraded_admitted = counters_.degraded_admitted.load();
   s.flushes_by_size = counters_.flushes_by_size.load();
   s.flushes_by_deadline = counters_.flushes_by_deadline.load();
   s.batches_evaluated = counters_.batches_evaluated.load();
   s.double_completions = counters_.double_completions.load();
   s.producers_blocked = counters_.producers_blocked.load();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.queue_depth = queue_.size();
-  }
+  s.queue_depth = queued_.load();
   return s;
 }
 

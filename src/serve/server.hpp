@@ -3,63 +3,61 @@
 // Everything below the runtime seam wants *big batches*: the SoA engines
 // amortise the tape sweep over whole evidence vectors (docs/evaluation.md).
 // Everything above it produces *single concurrent requests*.  The Server is
-// the adapter, built robustness-first:
+// the adapter, built robustness-first as a set of shards:
 //
-//   producers ──submit()──▶ bounded queue ──batcher──▶ batch queue ──▶ workers
-//                (backpressure,            (flush on size            (session
-//                 overload admission)       or deadline)              pools)
+//   producers ──submit()──▶ round-robin ──▶ shard 0: bounded queue ──▶ worker 0
+//                (backpressure,             shard 1: bounded queue ──▶ worker 1
+//                 overload admission)       ...   (each worker cuts its own
+//                                                  batches: no batcher thread)
 //
-// * Bounded MPSC submission queue.  submit() never grows memory without
-//   bound: a full queue either rejects with a typed response
+// * Shards.  submit() routes requests round-robin in runs of batch_max.  A
+//   shard's worker is its own batcher: it pops up to batch_max requests, or
+//   sleeps until the oldest has waited flush_deadline, the earliest request
+//   deadline, or shutdown.  Each shard has its own lock.  Requests whose
+//   deadline expires while queued complete as typed timeouts, never
+//   evaluated; the worker re-checks deadlines after the cut too.
+//
+// * Bounded admission and recycled slots.  The summed queue depth is
+//   reserved atomically against `capacity`; a full server rejects
 //   (FullPolicy::kReject) or blocks the producer up to a timeout
-//   (FullPolicy::kBlock) and then rejects.  The queue doubles as the
-//   coalescing buffer, so "queue depth" is exactly the batcher's backlog.
+//   (kBlock).  Admitted requests ride slots from a pool fixed at
+//   construction (capacity + workers * batch_max, the in-flight bound).
+//   Workers allocate and free nothing per request: evidence buffers go
+//   back to their slots and are released when a submitting thread next
+//   fills the slot.
 //
-// * Coalescing batcher.  One thread cuts the queue into batches of up to
-//   batch_max, flushing early when the oldest pending request has waited
-//   flush_deadline — the knob that bounds queued latency.  Requests whose
-//   own deadline expires while queued are completed with a typed timeout
-//   and never evaluated.
+// * Overload controller (serve/options.hpp): past degrade_depth /
+//   degrade_p99 new requests are admitted onto the lower-precision rung,
+//   whose answers carry its format and analytic error bound; past
+//   shed_depth they are shed with a typed rejection.
 //
-// * Worker session pools.  Each worker shard owns its InferenceSessions
-//   (base tier + degraded tier, built once per thread), re-checks deadlines
-//   after pickup, groups a batch by (query kind, query_var, tier), and runs
-//   each group through the batched session API — escalation fallback,
-//   per-query flags and provenance included.
-//
-// * Overload controller.  Admission-time policy (see serve/options.hpp):
-//   past degrade_depth / degrade_p99, new requests are served on the
-//   configured lower-precision rung and their responses carry the rung's
-//   format and analytic error bound; past shed_depth they are shed with a
-//   typed rejection.  Degradation is decided when a request is *admitted*,
-//   so a burst's tail degrades while earlier requests keep full precision.
-//
-// * Deterministic shutdown.  shutdown(drain=true) stops admission, flushes
-//   and evaluates everything queued (deadlines still honoured), joins all
-//   threads; drain=false completes queued requests with typed shutdown
-//   rejections instead (already-flushed batches still evaluate).  Either
-//   way every request completes exactly once — under injected worker
-//   faults too (stats().double_completions counts violations; it stays 0).
+// * Deterministic shutdown.  drain=true evaluates everything queued
+//   (deadlines still honoured); drain=false completes queued requests with
+//   typed shutdown rejections (batches already cut still evaluate).  Every
+//   request completes exactly once, under injected faults too
+//   (stats().double_completions counts violations; it stays 0).
 //
 // Fault sites (util/fault_injection.hpp): serve.enqueue forces the
-// queue-full rejection path, serve.flush fails a batch mid-flush (its
-// requests complete with typed errors), serve.worker throws from a worker
-// mid-evaluation (the group completes with typed errors, the worker
-// survives).
+// queue-full rejection, serve.flush fails a batch as its worker cuts it,
+// serve.worker throws mid-evaluation (the group completes with typed
+// errors, the worker survives).
 //
 // Thread-safety: submit(), stats() and shutdown() are safe from any thread.
 // Completion (future ready / callback invoked) happens on server threads —
 // callbacks must not call back into submit() of a server being destroyed.
+// A callback object stays in its slot after it runs: it is destroyed when a
+// later submit() reuses the slot, or with the server.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "serve/options.hpp"
@@ -70,9 +68,10 @@ namespace problp::serve {
 
 class Server {
  public:
-  /// Validates `options`, starts the batcher and worker threads.  Worker
-  /// sessions are constructed inside their threads (engines are lazy, so
-  /// startup is cheap until the first batch of each tier).
+  /// Validates `options`, allocates the request-slot pool and starts one
+  /// worker thread per shard.  Worker sessions are constructed inside their
+  /// threads (engines are lazy, so startup is cheap until the first batch of
+  /// each tier).
   Server(std::shared_ptr<const runtime::CompiledModel> model, ServerOptions options = {});
 
   /// shutdown(true) if the caller has not already shut down.
@@ -93,7 +92,7 @@ class Server {
 
   /// Stops admission and joins every thread.  drain=true evaluates the
   /// backlog (per-request deadlines still honoured); drain=false completes
-  /// queued-but-unflushed requests with kRejectedShutdown.  Idempotent;
+  /// queued-but-uncut requests with kRejectedShutdown.  Idempotent;
   /// concurrent callers block until the first call finishes.
   void shutdown(bool drain = true);
 
@@ -103,85 +102,81 @@ class Server {
   const std::shared_ptr<const runtime::CompiledModel>& model() const { return model_; }
 
  private:
-  /// One queued request: the caller's Request plus its completion channel
-  /// and admission-time stamps.  Owned by exactly one stage at a time
-  /// (queue -> batch -> worker), completed exactly once.  Exactly one
-  /// completion channel is engaged: the promise for the future flavour, the
-  /// callback for the callback flavour — a std::promise allocates shared
-  /// state and crosses a mutex on set_value, which is most of the serving
-  /// stack's per-request cost, so the callback path never constructs one.
+  /// One request slot: the Request, its completion channel and admission
+  /// stamps.  Owned by one party at a time (free list -> submitter -> shard
+  /// queue -> worker -> free list), completed exactly once per use.  The
+  /// callback flavour never constructs the promise (its shared state is an
+  /// allocation and set_value a mutex).
   struct Pending {
     Request request;
     std::optional<std::promise<Response>> promise;
     std::function<void(Response)> callback;
     util::Clock::TimePoint enqueued{};
     util::Clock::TimePoint deadline = util::Clock::TimePoint::max();
-    util::Clock::TimePoint flushed{};  ///< set when the batcher cuts it into a batch
+    util::Clock::TimePoint flushed{};  ///< set when a worker cuts it into a batch
     Tier tier = Tier::kNormal;
-    std::atomic<bool> completed{false};
+    std::atomic<bool> completed{false};  ///< exactly-once latch, reset on reuse
   };
-  using PendingPtr = std::unique_ptr<Pending>;
-  using Batch = std::vector<PendingPtr>;
 
-  /// Per-worker session pool: base tier always, degraded tier lazily on the
-  /// first degraded batch (sessions are scratch-heavy; don't pay for a tier
-  /// a shard never serves).
-  struct WorkerSessions;
+  struct Shard;   ///< one bounded queue plus its worker (server.cpp)
+  struct Worker;  ///< a worker's sessions and batch scratch (server.cpp)
 
   std::future<Response> submit_internal(Request request, std::function<void(Response)> done);
+  /// Completes a request that never got a slot (rejected at admission).
+  std::future<Response> reject(std::function<void(Response)> done, util::Clock::TimePoint enqueued,
+                               Status status, const std::string& message);
 
-  // ---- completion funnel (never called with mu_ held) ----------------------
-  /// Sets the promise / invokes the callback exactly once; counts a
-  /// double_completion instead of completing twice.
-  void complete(PendingPtr pending, Response&& response);
-  void complete_rejection(PendingPtr pending, Status status, const std::string& message);
-  void complete_timeout(PendingPtr pending, bool after_flush);
+  /// Sets the promise / invokes the callback exactly once; false (and a
+  /// counted double completion) on a second call.  Counts every status but
+  /// kOk, which callers count per group.  Never called with a shard lock
+  /// held.
+  bool complete(Pending& pending, Response&& response);
+  void complete_rejection(Pending& pending, Status status, const std::string& message);
+  void complete_timeout(Pending& pending, bool after_flush);
 
-  /// With mu_ held (via `lock`): cuts up to batch_max queued requests into
-  /// a batch stamped `flushed = now` and dispatches it to the batch queue —
-  /// or, when the serve.flush fault fires, completes every member with a
-  /// typed error.  Briefly drops the lock to complete/notify; re-held on
-  /// return.  Callers check queue_/batches_ preconditions.  Shared by the
-  /// batcher and by submit's inline size-cut so flush semantics (counters,
-  /// fault site, backpressure notifies) cannot drift between the two.
-  void flush_locked(std::unique_lock<std::mutex>& lock, util::Clock::TimePoint now, bool by_size);
+  /// Returns slots to the free list in one lock acquisition, then
+  /// unreserve(reserved).
+  void release(std::span<Pending* const> slots, std::size_t reserved);
+  /// Releases admission reservations; wakes blocked producers, if any.
+  void unreserve(std::size_t n);
 
-  void batcher_main();
-  void worker_main();
-  void process_batch(WorkerSessions& sessions, Batch batch);
-  /// Evaluates one homogeneous group of `batch` (same query/query_var/tier)
-  /// and completes its members; on any exception the whole group completes
+  void worker_main(Shard& shard);
+  /// Serves one cut batch: the serve.flush fault, the test hook, the
+  /// post-cut deadline re-check, then one evaluation per homogeneous group.
+  void process_batch(Worker& worker);
+  /// Evaluates one homogeneous group (same query/query_var/tier) and
+  /// completes its members; on any exception the whole group completes
   /// with typed kError responses.
-  void evaluate_group(WorkerSessions& sessions, Batch& batch,
-                      const std::vector<std::size_t>& indices);
+  void evaluate_group(Worker& worker, std::span<Pending* const> group);
 
-  /// Admission-time tier decision (call with mu_ held).
+  /// Admission-time tier decision for a request admitted at `depth`.
   Tier admission_tier(std::size_t depth) const;
 
   std::shared_ptr<const runtime::CompiledModel> model_;
   ServerOptions options_;
   std::shared_ptr<util::Clock> clock_;
-  std::size_t max_pending_batches_;
 
-  mutable std::mutex mu_;
-  std::deque<PendingPtr> queue_;  ///< the bounded MPSC submission/coalescing buffer
-  std::size_t queue_deadlines_ = 0;  ///< queue_ entries with a finite deadline
-  std::deque<Batch> batches_;    ///< flushed, awaiting a worker (bounded)
-  bool stopping_ = false;
-  bool drain_ = true;
-  bool batcher_done_ = false;
-  std::condition_variable cv_batcher_;   ///< queue state changed
+  std::vector<Pending> slots_;  ///< the pool: capacity + workers * batch_max
+  std::mutex free_mu_;
+  std::vector<Pending*> free_;  ///< guarded by free_mu_
+
+  /// Summed queue depth, reserved before a request takes a slot; capacity
+  /// bounds it exactly, so the pool never runs dry.
+  alignas(64) std::atomic<std::size_t> queued_{0};
+  std::atomic<std::size_t> next_shard_{0};
+  std::atomic<bool> stopping_{false};
+  std::atomic<bool> drain_{true};
+
+  std::mutex admit_mu_;                  ///< blocked producers only
   std::condition_variable cv_not_full_;  ///< space freed (blocked producers)
-  std::condition_variable cv_work_;      ///< batch queue state changed
 
-  std::mutex shutdown_mu_;  ///< serialises shutdown(); taken before joins
-  bool joined_ = false;
+  std::mutex shutdown_mu_;  ///< serialises shutdown()
+  bool joined_ = false;     ///< guarded by shutdown_mu_
 
   Counters counters_;
-  LatencyWindow latency_;
+  LatencyWindow latency_;  ///< fed only when overload.degrade_p99 is set
 
-  std::thread batcher_;
-  std::vector<std::thread> workers_;
+  std::unique_ptr<Shard[]> shards_;  ///< last: worker threads use every member above
 };
 
 }  // namespace problp::serve

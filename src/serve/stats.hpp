@@ -1,6 +1,6 @@
 // Serving-layer observability: lock-free counters for every completion
-// class, plus a small sliding latency window the overload controller reads
-// its p99 from.
+// class, plus a small sliding latency window the overload controller's
+// degrade_p99 trigger reads its p99 from.
 //
 // The accounting identity the drain tests pin down:
 //
@@ -18,6 +18,7 @@
 #include <mutex>
 #include <vector>
 
+#include "serve/types.hpp"
 #include "util/clock.hpp"
 
 namespace problp::serve {
@@ -45,38 +46,35 @@ struct StatsSnapshot {
   }
 };
 
-/// The mutable counters (one relaxed atomic each — serving-path increments
-/// never contend on a lock).
+inline constexpr std::size_t kStatusCount = static_cast<std::size_t>(Status::kError) + 1;
+
+/// The mutable counters (relaxed atomics — serving-path increments never
+/// contend on a lock).  The admission side (written by submitting threads)
+/// and the completion side (written by workers, which add a group's ok
+/// completions at once) sit on separate cache lines.
 struct Counters {
-  std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> completed_ok{0};
-  std::atomic<std::uint64_t> timed_out{0};
-  std::atomic<std::uint64_t> timed_out_after_flush{0};
-  std::atomic<std::uint64_t> rejected_queue_full{0};
-  std::atomic<std::uint64_t> rejected_overload{0};
-  std::atomic<std::uint64_t> rejected_shutdown{0};
-  std::atomic<std::uint64_t> errors{0};
+  alignas(64) std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> degraded_admitted{0};
-  std::atomic<std::uint64_t> flushes_by_size{0};
-  std::atomic<std::uint64_t> flushes_by_deadline{0};
+  std::atomic<std::uint64_t> producers_blocked{0};
+
+  alignas(64) std::atomic<std::uint64_t> completed[kStatusCount] = {};  ///< indexed by Status
+  std::atomic<std::uint64_t> timed_out_after_flush{0};
   std::atomic<std::uint64_t> batches_evaluated{0};
   std::atomic<std::uint64_t> double_completions{0};
-  std::atomic<std::uint64_t> producers_blocked{0};
+  std::atomic<std::uint64_t> flushes_by_size{0};
+  std::atomic<std::uint64_t> flushes_by_deadline{0};
+
+  std::atomic<std::uint64_t>& count(Status s) { return completed[static_cast<std::size_t>(s)]; }
+  std::uint64_t count(Status s) const { return completed[static_cast<std::size_t>(s)].load(); }
 };
 
 /// Sliding window of recent completion latencies; p99() feeds the overload
-/// controller's latency trigger.  Writers (workers) and readers (admission)
-/// share one small mutex — the window is 256 entries, the critical sections
-/// a few loads/stores.
+/// controller's latency trigger (workers record only when it is armed).
+/// Writers (workers) and readers (admission) share one small mutex — the
+/// window is 256 entries, the critical sections a few loads/stores.
 class LatencyWindow {
  public:
   explicit LatencyWindow(std::size_t size = 256) : ring_(size) {}
-
-  void record(util::Clock::Duration d) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ring_[next_++ % ring_.size()] = d;
-    if (count_ < ring_.size()) ++count_;
-  }
 
   /// One lock for a whole batch of completions (a worker finishing a group
   /// records every member at once — per-request locking would cost more

@@ -34,4 +34,11 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }
 
+/// Literal-message overload: the message string is built only on failure.
+/// Binding a literal longer than the small-string buffer to the overload
+/// above allocates on every call, which per-query checks cannot afford.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw InvalidArgument(what);
+}
+
 }  // namespace problp

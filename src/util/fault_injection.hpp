@@ -23,8 +23,8 @@
 //                         (non-problp) exception
 //   serve.enqueue         serve::Server::submit: forces the queue-full
 //                         rejection path (typed kRejectedQueueFull)
-//   serve.flush           serve::Server batcher: batch dispatch fails; every
-//                         member completes with a typed kError
+//   serve.flush           serve::Server worker cutting a batch: the batch
+//                         fails; every member completes with a typed kError
 //   serve.worker          serve::Server worker: evaluation throws mid-batch;
 //                         the group completes kError, the worker survives
 //

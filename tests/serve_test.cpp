@@ -1,13 +1,15 @@
 // The overload-safe async serving front-end (src/serve/).
 //
-// Contract under test (ISSUE 10 acceptance): the bounded submission queue
-// never grows past capacity (reject vs block-with-timeout, both typed);
+// Contract under test: the bounded submission queue never grows past
+// capacity (reject vs block-with-timeout, both typed);
 // per-request deadlines produce typed timeouts whether they expire before
 // or after the flush — never a silent evaluation; the overload controller
 // degrades admissions onto the configured rung (responses carry the rung's
 // format and analytic error bound) and sheds past it; shutdown drains
 // deterministically with every request completing exactly once — under
-// injected enqueue/flush/worker faults and an 8-producer stress race too.
+// injected enqueue/flush/worker faults and an 8-producer stress race too;
+// recycled request slots always answer their own request; and a server runs
+// one thread per shard.
 //
 // All deadline behaviour runs against util::ManualClock: time moves only
 // when a test calls advance(), so there is not a single sleep-and-hope in
@@ -18,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
@@ -208,6 +211,27 @@ TEST_F(ServeTest, CallbackFlavourCompletesExactlyOnce) {
   expect_accounting_identity(server.stats());
 }
 
+// A server runs exactly `workers` threads: each shard's worker is its own
+// batcher.
+TEST_F(ServeTest, RunsOneThreadPerShard) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "needs " << tasks;
+  const auto threads = [&] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator(tasks)) ++n;
+    return n;
+  };
+  const auto model = test_model();
+  const std::size_t before = threads();
+  ServerOptions options;
+  options.workers = 3;
+  Server server(model, options);
+  EXPECT_EQ(threads(), before + 3);
+  server.shutdown(true);
+  // A joined thread can stay listed for a moment while the kernel reaps it.
+  EXPECT_TRUE(spin_until([&] { return threads() == before; }));
+}
+
 TEST_F(ServeTest, MalformedRequestsThrowSynchronouslyAndNeverQueue) {
   const auto model = test_model();
   Server server(model, ServerOptions{});
@@ -261,10 +285,9 @@ TEST_F(ServeTest, MisconfigurationThrowsFoundVsExpected) {
 
 // ---- backpressure ----------------------------------------------------------
 
-// Stalls the whole pipeline deterministically: worker 1 held inside the
-// test hook, one more flushed batch parked in the bounded batch queue, the
-// submission queue full behind it.  ManualClock keeps the batcher from ever
-// flushing on a deadline.
+// Stalls the whole pipeline deterministically: the one worker held inside
+// the test hook with a cut batch of batch_max, its queue full (capacity)
+// behind it.  ManualClock keeps the worker from ever cutting on a deadline.
 struct StalledPipeline {
   std::shared_ptr<ManualClock> clock = std::make_shared<ManualClock>();
   Gate gate;
@@ -275,7 +298,6 @@ struct StalledPipeline {
     o.capacity = 4;
     o.batch_max = 4;
     o.workers = 1;
-    o.max_pending_batches = 1;
     o.full_policy = policy;
     o.block_timeout = ms(10);
     o.flush_deadline = ms(100);
@@ -287,19 +309,17 @@ struct StalledPipeline {
     return o;
   }
 
-  /// 12 submissions: 4 held by the worker, 4 parked in the batch queue,
-  /// 4 filling the submission queue.
+  /// 8 submissions: 4 cut and held by the worker, 4 filling the queue.
   std::vector<std::future<Response>> fill(Server& server, const CompiledModel& model) {
     std::vector<std::future<Response>> futures;
-    const auto evidence = sampled_evidence(model, 12, 5);
+    const auto evidence = sampled_evidence(model, 8, 5);
     for (int i = 0; i < 4; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
     EXPECT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
-    for (int i = 4; i < 8; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
     EXPECT_TRUE(spin_until([&] {
       const StatsSnapshot s = server.stats();
-      return s.flushes_by_size == 2 && s.queue_depth == 0;
+      return s.flushes_by_size == 1 && s.queue_depth == 0;
     }));
-    for (int i = 8; i < 12; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+    for (int i = 4; i < 8; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
     EXPECT_TRUE(spin_until([&] { return server.stats().queue_depth == 4; }));
     return futures;
   }
@@ -311,7 +331,7 @@ TEST_F(ServeTest, FullQueueRejectsWithTypedResponse) {
   Server server(model, pipeline.options(ServerOptions::FullPolicy::kReject));
   auto futures = pipeline.fill(server, *model);
 
-  // The 13th request finds the queue at capacity and is rejected
+  // The 9th request finds the queue at capacity and is rejected
   // immediately — a typed response, not a block and not unbounded growth.
   Response rejected = server.submit(marginal_request(sampled_evidence(*model, 1, 9)[0])).get();
   EXPECT_EQ(rejected.status, Status::kRejectedQueueFull);
@@ -322,7 +342,7 @@ TEST_F(ServeTest, FullQueueRejectsWithTypedResponse) {
   server.shutdown(true);
   for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
   const StatsSnapshot s = server.stats();
-  EXPECT_EQ(s.completed_ok, 12u);
+  EXPECT_EQ(s.completed_ok, 8u);
   EXPECT_EQ(s.rejected_queue_full, 1u);
   expect_accounting_identity(s);
 }
@@ -359,7 +379,7 @@ TEST_F(ServeTest, FullQueueBlocksThenTimesOutOnManualClock) {
   EXPECT_EQ(admitted.get().status, Status::kOk);
   for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
   const StatsSnapshot s = server.stats();
-  EXPECT_EQ(s.completed_ok, 13u);
+  EXPECT_EQ(s.completed_ok, 9u);
   EXPECT_EQ(s.rejected_queue_full, 1u);
   expect_accounting_identity(s);
 }
@@ -381,7 +401,7 @@ TEST_F(ServeTest, DeadlineExpiryInQueueIsTypedTimeoutNeverEvaluated) {
   ASSERT_TRUE(spin_until([&] { return server.stats().queue_depth == 1; }));
 
   clock->advance(ms(5));
-  Response response = future.get();  // woken by the batcher's expiry sweep
+  Response response = future.get();  // woken by the worker's expiry sweep
   EXPECT_EQ(response.status, Status::kTimeout);
   EXPECT_NE(response.message.find("queued"), std::string::npos) << response.message;
   EXPECT_THROW(response.throw_if_failed(), serve::DeadlineExceededError);
@@ -419,8 +439,8 @@ TEST_F(ServeTest, DeadlineExpiryAfterFlushIsTypedTimeout) {
     r.timeout = ms(5);
     futures.push_back(server.submit(std::move(r)));
   }
-  // The batch is flushed and picked up (hook entered) with deadlines still
-  // live; the clock then expires them while the worker is held.
+  // The batch is cut (hook entered) with deadlines still live; the clock
+  // then expires them while the worker is held.
   ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
   clock->advance(ms(6));
   gate.open();
@@ -590,14 +610,14 @@ TEST_F(ServeTest, CancelShutdownRejectsUnflushedEvaluatesInFlight) {
   const auto model = test_model();
   StalledPipeline pipeline;
   Server server(model, pipeline.options(ServerOptions::FullPolicy::kReject));
-  // 4 held by the worker, 4 parked in the batch queue, 4 still unflushed.
+  // 4 cut and held by the worker, 4 still queued.
   auto futures = pipeline.fill(server, *model);
 
   // Cancel-mode shutdown from another thread (it must block joining the
-  // held worker); the queued-but-unflushed requests complete immediately
-  // with typed shutdown rejections.
+  // held worker); the queued-but-uncut requests complete immediately with
+  // typed shutdown rejections.
   std::thread shutter([&] { server.shutdown(false); });
-  for (int i = 8; i < 12; ++i) {
+  for (int i = 4; i < 8; ++i) {
     Response r = futures[static_cast<std::size_t>(i)].get();
     EXPECT_EQ(r.status, Status::kRejectedShutdown);
     EXPECT_THROW(r.throw_if_failed(), serve::ShutdownError);
@@ -605,8 +625,8 @@ TEST_F(ServeTest, CancelShutdownRejectsUnflushedEvaluatesInFlight) {
   pipeline.gate.open();
   shutter.join();
 
-  // The already-flushed batches still evaluate to completion.
-  for (int i = 0; i < 8; ++i) {
+  // The batch the worker already cut still evaluates to completion.
+  for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().status, Status::kOk);
   }
   // Admission after shutdown: immediate typed rejection.
@@ -615,7 +635,7 @@ TEST_F(ServeTest, CancelShutdownRejectsUnflushedEvaluatesInFlight) {
 
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.rejected_shutdown, 5u);
-  EXPECT_EQ(s.completed_ok, 8u);
+  EXPECT_EQ(s.completed_ok, 4u);
   expect_accounting_identity(s);
 }
 
@@ -662,7 +682,7 @@ TEST_F(ServeTest, FlushFaultFailsWholeBatchWithTypedErrors) {
   }
   EXPECT_TRUE(FaultInjector::instance().fired("serve.flush"));
 
-  // The batcher survives a failed dispatch: the next flush serves normally.
+  // The worker survives a failed cut: the next batch serves normally.
   for (int i = 2; i < 4; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
   server.shutdown(true);
   for (int i = 2; i < 4; ++i) {
@@ -675,6 +695,87 @@ TEST_F(ServeTest, FlushFaultFailsWholeBatchWithTypedErrors) {
 }
 
 // ---- stress ----------------------------------------------------------------
+
+// Request slots are recycled: with capacity 64 and 2 workers the pool holds
+// 64 + 2 * 16 slots, so 1600 requests reuse every slot many times over.  A
+// recycled slot that handed back another request's evidence or answer, kept
+// a stale deadline or fired a stale callback shows up here as a mismatch
+// against a direct session on the request's *own* evidence.
+TEST_F(ServeTest, RecycledSlotsAnswerTheirOwnRequests) {
+  const auto model = test_model(31, 7);
+  ServerOptions options;
+  options.capacity = 64;
+  options.batch_max = 16;
+  options.workers = 2;
+  options.flush_deadline = std::chrono::microseconds(200);
+  options.full_policy = ServerOptions::FullPolicy::kBlock;
+  options.block_timeout = std::chrono::seconds(30);
+  Server server(model, options);
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 400;  // 4 * 400 = 25 x capacity
+  std::vector<std::vector<ac::PartialAssignment>> evidence;
+  for (int p = 0; p < kProducers; ++p) {
+    evidence.push_back(
+        sampled_evidence(*model, kPerProducer, 300 + static_cast<std::uint64_t>(p)));
+  }
+  // Each request writes only its own response and call count; the main
+  // thread reads them after shutdown() has joined the workers.
+  std::vector<std::vector<Response>> responses(kProducers, std::vector<Response>(kPerProducer));
+  std::vector<std::vector<std::atomic<int>>> calls(kProducers);
+  for (auto& c : calls) c = std::vector<std::atomic<int>>(kPerProducer);
+  const auto query_of = [](int i) {
+    return i % 3 == 0 ? QueryType::kMarginal : i % 3 == 1 ? QueryType::kConditional
+                                                           : QueryType::kMpe;
+  };
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const auto pi = static_cast<std::size_t>(p);
+      for (int i = 0; i < kPerProducer; ++i) {
+        const auto ii = static_cast<std::size_t>(i);
+        Request r;
+        r.query = query_of(i);
+        if (r.query == QueryType::kConditional) r.query_var = 0;
+        r.evidence = evidence[pi][ii];
+        // A finite deadline on some requests only: a reused slot must not
+        // keep its previous request's deadline.
+        if (i % 5 == 0) r.timeout = std::chrono::seconds(60);
+        server.submit(std::move(r), [&, pi, ii](Response response) {
+          responses[pi][ii] = std::move(response);
+          ++calls[pi][ii];
+        });
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  server.shutdown(true);
+
+  InferenceSession direct(model, SessionOptions{});
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t i = 0; i < kPerProducer; ++i) {
+      ASSERT_EQ(calls[p][i].load(), 1) << "producer " << p << " request " << i;
+      const Response& r = responses[p][i];
+      ASSERT_EQ(r.status, Status::kOk) << r.message;
+      const ac::PartialAssignment& e = evidence[p][i];
+      switch (query_of(static_cast<int>(i))) {
+        case QueryType::kMarginal:
+          EXPECT_EQ(r.value, direct.marginal(e)) << "producer " << p << " request " << i;
+          break;
+        case QueryType::kConditional:
+          EXPECT_EQ(r.posterior, direct.conditional(0, e)) << "producer " << p << " request " << i;
+          break;
+        case QueryType::kMpe:
+          EXPECT_EQ(r.value, direct.mpe(e)) << "producer " << p << " request " << i;
+          break;
+      }
+    }
+  }
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kProducers * kPerProducer));
+  EXPECT_EQ(s.completed_ok, s.submitted);
+  expect_accounting_identity(s);
+}
 
 TEST_F(ServeTest, EightProducerStressCompletesEveryRequestExactlyOnce) {
   const auto model = test_model(21, 5);
