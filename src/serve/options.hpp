@@ -95,7 +95,6 @@ struct ServerOptions {
 
   /// Shards: each is one queue plus one worker thread that batches and
   /// serves it with its own InferenceSession pool (base + degraded tiers).
-  /// submit() routes round-robin, batch_max consecutive requests per shard.
   int workers = 1;
 
   /// Base-tier backend every worker session is built with (exact double by

@@ -37,7 +37,11 @@ struct Server::Shard {
   std::condition_variable cv;   ///< arrivals and shutdown wake the worker
   std::vector<Pending*> queue;  ///< FIFO; guarded by mu, like every field below
   std::size_t deadlines = 0;    ///< queued requests with a finite deadline
-  bool waiting = false;         ///< the worker is blocked in wait_until
+  // Written under mu; route() reads both without it.  A worker releases mu
+  // only to serve a batch or to sleep, so under mu a worker that is not
+  // busy is asleep or about to re-read the queue.
+  std::atomic<bool> busy{false};      ///< the worker holds a cut batch
+  std::atomic<std::size_t> depth{0};  ///< queue.size()
   std::thread worker;
 };
 
@@ -87,9 +91,9 @@ Server::Server(std::shared_ptr<const runtime::CompiledModel> model, ServerOption
   free_.reserve(slots_.size());
   for (Pending& slot : slots_) free_.push_back(&slot);
   shards_ = std::make_unique<Shard[]>(workers);
-  for (std::size_t w = 0; w < workers; ++w) shards_[w].queue.reserve(options_.capacity);
   for (std::size_t w = 0; w < workers; ++w) {
     Shard& shard = shards_[w];
+    shard.queue.reserve(options_.capacity);
     shard.worker = std::thread([this, &shard] { worker_main(shard); });
   }
 }
@@ -156,16 +160,15 @@ std::future<Response> Server::submit_internal(Request request,
     blocked = false;
   };
   // Reserve a place in the summed depth before taking a slot.  The
-  // reservation is what makes capacity exact under concurrent producers.
-  std::size_t depth = queued_.fetch_add(1);
+  // reservation is what keeps the depth within capacity under concurrent
+  // producers, and it never refuses a producer below the real depth.
+  std::size_t depth = try_reserve(std::min(options_.capacity, options_.overload.shed_depth));
   if (depth >= options_.overload.shed_depth) {
-    unreserve(1);
     return reject(std::move(done), now, Status::kRejectedOverload,
                   str_format("serve: overload shed — queue depth %zu >= shed threshold %zu",
                              depth, options_.overload.shed_depth));
   }
   if (depth >= options_.capacity) {
-    unreserve(1);
     if (options_.full_policy == ServerOptions::FullPolicy::kReject) {
       return reject(std::move(done), now, Status::kRejectedQueueFull,
                     str_format("serve: submission queue full (capacity %zu)", options_.capacity));
@@ -178,8 +181,7 @@ std::future<Response> Server::submit_internal(Request request,
     counters_.producers_blocked.fetch_add(1);
     const util::Clock::TimePoint block_deadline = now + options_.block_timeout;
     std::unique_lock<std::mutex> lock(admit_mu_);
-    while ((depth = queued_.fetch_add(1)) >= options_.capacity) {
-      queued_.fetch_sub(1);
+    while ((depth = try_reserve(options_.capacity)) >= options_.capacity) {
       if (stopping_.load() || clock_->now() >= block_deadline) {
         lock.unlock();
         unblock();
@@ -221,12 +223,7 @@ std::future<Response> Server::submit_internal(Request request,
   pending.completed.store(false, std::memory_order_relaxed);
   const bool has_deadline = pending.deadline != util::Clock::TimePoint::max();
 
-  // Round-robin in runs of batch_max: consecutive requests fill one shard's
-  // batch instead of trickling into every shard's at 1/workers the rate.
-  const std::size_t workers = static_cast<std::size_t>(options_.workers);
-  const std::size_t ticket =
-      workers == 1 ? 0 : next_shard_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = shards_[ticket / options_.batch_max % workers];
+  Shard& shard = shards_[route()];
   bool wake = false;
   {
     std::unique_lock<std::mutex> lock(shard.mu);
@@ -241,18 +238,52 @@ std::future<Response> Server::submit_internal(Request request,
       return future;
     }
     shard.queue.push_back(slot);
+    shard.depth.store(shard.queue.size(), std::memory_order_relaxed);
     if (has_deadline) ++shard.deadlines;
     // Wake the worker only when its plan can change: the first request arms
     // the linger timer, the batch_max-th makes a full batch, and a finite
     // deadline may be earlier than the sleep it already computed.  A busy
     // worker re-reads the queue before it sleeps again.
-    wake = shard.waiting &&
+    wake = !shard.busy.load(std::memory_order_relaxed) &&
            (shard.queue.size() == 1 || shard.queue.size() == options_.batch_max || has_deadline);
   }
   unblock();
   if (tier == Tier::kDegraded) counters_.degraded_admitted.fetch_add(1, std::memory_order_relaxed);
   if (wake) shard.cv.notify_one();
   return future;
+}
+
+std::size_t Server::try_reserve(std::size_t limit) {
+  std::size_t depth = queued_.load();
+  while (depth < limit && !queued_.compare_exchange_weak(depth, depth + 1)) {
+  }
+  return depth;
+}
+
+std::size_t Server::route() {
+  const std::size_t workers = static_cast<std::size_t>(options_.workers);
+  if (workers == 1) return 0;
+  // Ready shards (worker free, batch not full) first, then shallower
+  // queues; the current shard keeps producers for as long as it is ready.
+  const auto rank = [&](std::size_t w) {
+    const Shard& s = shards_[w];
+    const std::size_t depth = s.depth.load(std::memory_order_relaxed);
+    const bool ready = !s.busy.load(std::memory_order_relaxed) && depth < options_.batch_max;
+    return std::pair(!ready, depth);
+  };
+  const std::size_t current = route_.load(std::memory_order_relaxed);
+  auto best_rank = rank(current);
+  if (!best_rank.first) return current;
+  std::size_t best = current;
+  for (std::size_t w = 0; w < workers; ++w) {
+    const auto r = rank(w);
+    if (r < best_rank) {
+      best = w;
+      best_rank = r;
+    }
+  }
+  if (best != current) route_.store(best, std::memory_order_relaxed);
+  return best;
 }
 
 std::future<Response> Server::reject(std::function<void(Response)> done,
@@ -297,10 +328,11 @@ bool Server::complete(Pending& pending, Response&& response) {
     return false;
   }
   if (response.status != Status::kOk) counters_.count(response.status).fetch_add(1);
-  // Exactly one channel is engaged (see Pending).  Both stay in the slot
-  // after completing, so nothing is freed here, on a server thread.
+  // Exactly one channel is engaged (see Pending).  The callback is
+  // destroyed as soon as it has run, so nothing it captured outlives its
+  // request; the promise stays in the slot until the slot is reused.
   if (pending.callback) {
-    pending.callback(std::move(response));
+    std::exchange(pending.callback, nullptr)(std::move(response));
   } else {
     pending.promise->set_value(std::move(response));
   }
@@ -367,7 +399,9 @@ void Server::worker_main(Shard& shard) {
       worker.batch.assign(queue.begin(), cut);
       queue.erase(queue.begin(), cut);
     }
+    shard.depth.store(queue.size(), std::memory_order_relaxed);
     if (!worker.batch.empty()) {
+      shard.busy.store(true, std::memory_order_relaxed);
       lock.unlock();
       if (expired) {
         for (Pending* p : worker.batch) complete_timeout(*p, false);
@@ -380,6 +414,7 @@ void Server::worker_main(Shard& shard) {
       release(worker.batch, expired ? worker.batch.size() : 0);
       worker.batch.clear();
       lock.lock();
+      shard.busy.store(false, std::memory_order_relaxed);
       continue;
     }
 
@@ -394,9 +429,7 @@ void Server::worker_main(Shard& shard) {
         for (const Pending* p : queue) next = std::min(next, p->deadline);
       }
     }
-    shard.waiting = true;
     clock_->wait_until(shard.cv, lock, next);
-    shard.waiting = false;
   }
 }
 
@@ -441,18 +474,10 @@ void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
   const errormodel::QueryType query = group.front()->request.query;
   const int query_var = group.front()->request.query_var;
   // The slots lend their evidence to the batched call and get it back
-  // right after, so no buffer is freed on this thread.
+  // at the end, so no buffer is freed on this thread.
   worker.evidence.clear();
   for (Pending* p : group) worker.evidence.push_back(std::move(p->request.evidence));
-  bool returned = false;
-  const auto return_evidence = [&] {
-    if (returned) return;
-    returned = true;
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      group[j]->request.evidence = std::move(worker.evidence[j]);
-    }
-  };
-  std::uint64_t ok = 0;
+  std::size_t undelivered_ok = 0;  // counted ok below, not yet completed
   try {
     // serve.worker mirrors batch.worker: a *foreign* exception from the
     // serving thread's evaluation, driven deterministically.
@@ -470,19 +495,19 @@ void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
       values = &session.marginal(worker.evidence);
     }
     const std::vector<runtime::QueryProvenance>& provenance = session.last_provenance();
-    return_evidence();
-
     const util::Clock::TimePoint done = clock_->now();
-    // Latencies feed only the degrade_p99 trigger, and are recorded before
-    // any member completes: a client that observes a completion may submit
-    // again immediately, and its admission must see a p99 window that
-    // already includes the batch it just waited on (the ManualClock
-    // p99-trigger test pins this ordering down).
+    // Latencies feed only the degrade_p99 trigger.  They are recorded before
+    // any member completes, so a client that resubmits on completion is
+    // admitted against a p99 that includes its own batch.
     if (options_.overload.degrade_p99) {
       worker.latencies.clear();
       for (const Pending* p : group) worker.latencies.push_back(done - p->enqueued);
       latency_.record_many(worker.latencies);
     }
+    // The group's ok completions are counted before any member completes,
+    // so a client that has its answer also finds it in stats().
+    counters_.count(Status::kOk).fetch_add(group.size(), std::memory_order_relaxed);
+    undelivered_ok = group.size();
     for (std::size_t j = 0; j < group.size(); ++j) {
       Pending& pending = *group[j];
       Response response;
@@ -512,19 +537,22 @@ void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
       }
       response.queue_wait = pending.flushed - pending.enqueued;
       response.latency = done - pending.enqueued;
-      ok += complete(pending, std::move(response)) ? 1 : 0;
+      --undelivered_ok;
+      if (!complete(pending, std::move(response))) counters_.count(Status::kOk).fetch_sub(1);
     }
   } catch (const std::exception& e) {
-    // The whole group shares the failed sweep; each member not yet
-    // completed completes exactly once, as a typed error, and the worker
-    // thread survives.
-    return_evidence();
+    // The whole group shares the failed sweep (or a callback threw); each
+    // member not yet completed completes exactly once, as a typed error —
+    // no longer counted as ok — and the worker thread survives.
+    counters_.count(Status::kOk).fetch_sub(undelivered_ok);
     const std::string message = str_format("serve: worker evaluation failed: %s", e.what());
     for (Pending* p : group) {
       if (!p->completed.load()) complete_rejection(*p, Status::kError, message);
     }
   }
-  counters_.count(Status::kOk).fetch_add(ok, std::memory_order_relaxed);
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    group[j]->request.evidence = std::move(worker.evidence[j]);
+  }
 }
 
 // ---- shutdown & stats ------------------------------------------------------
@@ -542,6 +570,7 @@ void Server::shutdown(bool drain) {
       if (!drain) {
         cancelled.insert(cancelled.end(), shard.queue.begin(), shard.queue.end());
         shard.queue.clear();
+        shard.depth.store(0, std::memory_order_relaxed);
         shard.deadlines = 0;
       }
     }

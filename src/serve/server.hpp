@@ -1,52 +1,34 @@
 // Server — the overload-safe async serving front-end over the runtime.
 //
-// Everything below the runtime seam wants *big batches*: the SoA engines
-// amortise the tape sweep over whole evidence vectors (docs/evaluation.md).
-// Everything above it produces *single concurrent requests*.  The Server is
-// the adapter, built robustness-first as a set of shards:
+// The SoA engines below the runtime seam want big batches; serving traffic
+// arrives as single concurrent requests.  The Server adapts the two as a
+// set of shards (docs/serving.md has the full design):
 //
-//   producers ──submit()──▶ round-robin ──▶ shard 0: bounded queue ──▶ worker 0
+//   producers ──submit()──▶ route() ─────▶ shard 0: bounded queue ──▶ worker 0
 //                (backpressure,             shard 1: bounded queue ──▶ worker 1
 //                 overload admission)       ...   (each worker cuts its own
 //                                                  batches: no batcher thread)
 //
-// * Shards.  submit() routes requests round-robin in runs of batch_max.  A
-//   shard's worker is its own batcher: it pops up to batch_max requests, or
-//   sleeps until the oldest has waited flush_deadline, the earliest request
-//   deadline, or shutdown.  Each shard has its own lock.  Requests whose
-//   deadline expires while queued complete as typed timeouts, never
-//   evaluated; the worker re-checks deadlines after the cut too.
-//
-// * Bounded admission and recycled slots.  The summed queue depth is
-//   reserved atomically against `capacity`; a full server rejects
-//   (FullPolicy::kReject) or blocks the producer up to a timeout
-//   (kBlock).  Admitted requests ride slots from a pool fixed at
-//   construction (capacity + workers * batch_max, the in-flight bound).
-//   Workers allocate and free nothing per request: evidence buffers go
-//   back to their slots and are released when a submitting thread next
-//   fills the slot.
-//
-// * Overload controller (serve/options.hpp): past degrade_depth /
-//   degrade_p99 new requests are admitted onto the lower-precision rung,
-//   whose answers carry its format and analytic error bound; past
-//   shed_depth they are shed with a typed rejection.
-//
-// * Deterministic shutdown.  drain=true evaluates everything queued
-//   (deadlines still honoured); drain=false completes queued requests with
-//   typed shutdown rejections (batches already cut still evaluate).  Every
-//   request completes exactly once, under injected faults too
-//   (stats().double_completions counts violations; it stays 0).
-//
-// Fault sites (util/fault_injection.hpp): serve.enqueue forces the
-// queue-full rejection, serve.flush fails a batch as its worker cuts it,
-// serve.worker throws mid-evaluation (the group completes with typed
-// errors, the worker survives).
+// * submit() keeps routing to one shard while its worker is free and its
+//   batch is not yet full, then moves to a free worker's shard, or else the
+//   shallowest queue.  Each worker cuts up to batch_max requests, or sleeps
+//   until the oldest has waited flush_deadline, the earliest request
+//   deadline, or shutdown.  Expired requests complete as typed timeouts,
+//   before and after the cut.
+// * Admission reserves the summed depth against `capacity` (a reservation
+//   succeeds only below the limit) and rejects (FullPolicy::kReject) or
+//   blocks up to a timeout (kBlock) when full; past degrade_depth /
+//   degrade_p99 requests go onto the lower-precision rung, past shed_depth
+//   they are shed (serve/options.hpp).  Requests ride slots from a pool
+//   fixed at construction (capacity + workers * batch_max); workers hand
+//   evidence back to the slots, so they free nothing per request.
+// * Shutdown: drain=true evaluates everything queued; drain=false rejects
+//   what is not yet cut.  Every request completes exactly once, under the
+//   serve.enqueue / serve.flush / serve.worker faults too.
 //
 // Thread-safety: submit(), stats() and shutdown() are safe from any thread.
-// Completion (future ready / callback invoked) happens on server threads —
-// callbacks must not call back into submit() of a server being destroyed.
-// A callback object stays in its slot after it runs: it is destroyed when a
-// later submit() reuses the slot, or with the server.
+// Completions happen on server threads; a callback must not call submit()
+// on a server that is being destroyed.
 #pragma once
 
 #include <atomic>
@@ -87,7 +69,9 @@ class Server {
   std::future<Response> submit(Request request);
 
   /// Callback flavour: `done` is invoked exactly once, on a server thread
-  /// (or inline on the submitting thread for immediate rejections).
+  /// (or inline on the submitting thread for immediate rejections), and
+  /// destroyed right after it returns, on the same thread.  stats() counts
+  /// the outcome before `done` runs.
   void submit(Request request, std::function<void(Response)> done);
 
   /// Stops admission and joins every thread.  drain=true evaluates the
@@ -122,14 +106,19 @@ class Server {
   struct Worker;  ///< a worker's sessions and batch scratch (server.cpp)
 
   std::future<Response> submit_internal(Request request, std::function<void(Response)> done);
+  /// Reserves one place in the summed depth if it is below `limit`.
+  /// Returns the depth seen: below `limit` on success, else at least it.
+  std::size_t try_reserve(std::size_t limit);
+  /// The shard a new request joins (see the header comment).
+  std::size_t route();
   /// Completes a request that never got a slot (rejected at admission).
   std::future<Response> reject(std::function<void(Response)> done, util::Clock::TimePoint enqueued,
                                Status status, const std::string& message);
 
   /// Sets the promise / invokes the callback exactly once; false (and a
   /// counted double completion) on a second call.  Counts every status but
-  /// kOk, which callers count per group.  Never called with a shard lock
-  /// held.
+  /// kOk, which evaluate_group counts per group before completing it.
+  /// Never called with a shard lock held.
   bool complete(Pending& pending, Response&& response);
   void complete_rejection(Pending& pending, Status status, const std::string& message);
   void complete_timeout(Pending& pending, bool after_flush);
@@ -163,7 +152,7 @@ class Server {
   /// Summed queue depth, reserved before a request takes a slot; capacity
   /// bounds it exactly, so the pool never runs dry.
   alignas(64) std::atomic<std::size_t> queued_{0};
-  std::atomic<std::size_t> next_shard_{0};
+  std::atomic<std::size_t> route_{0};  ///< the shard producers currently fill
   std::atomic<bool> stopping_{false};
   std::atomic<bool> drain_{true};
 

@@ -87,19 +87,16 @@ class LatencyWindow {
     }
   }
 
-  /// Quantile over the window (0 when empty).  q in [0, 1].
-  util::Clock::Duration quantile(double q) const {
+  /// p99 over the window (0 when empty).
+  util::Clock::Duration p99() const {
     std::lock_guard<std::mutex> lock(mutex_);
     if (count_ == 0) return util::Clock::Duration::zero();
     std::vector<util::Clock::Duration> sorted(ring_.begin(),
                                               ring_.begin() + static_cast<long>(count_));
     std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx = std::min(
-        count_ - 1, static_cast<std::size_t>(q * static_cast<double>(count_)));
-    return sorted[idx];
+    return sorted[std::min(count_ - 1,
+                           static_cast<std::size_t>(0.99 * static_cast<double>(count_)))];
   }
-
-  util::Clock::Duration p99() const { return quantile(0.99); }
 
  private:
   mutable std::mutex mutex_;

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace problp {
 
@@ -29,16 +30,11 @@ class ParseError : public Error {
   explicit ParseError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `what` when `cond` does not hold.
-inline void require(bool cond, const std::string& what) {
-  if (!cond) throw InvalidArgument(what);
-}
-
-/// Literal-message overload: the message string is built only on failure.
-/// Binding a literal longer than the small-string buffer to the overload
-/// above allocates on every call, which per-query checks cannot afford.
-inline void require(bool cond, const char* what) {
-  if (!cond) throw InvalidArgument(what);
+/// Throws InvalidArgument with `what` when `cond` does not hold.  The
+/// message string is built only on failure, so per-query checks with a
+/// literal message cost no allocation.
+inline void require(bool cond, std::string_view what) {
+  if (!cond) throw InvalidArgument(std::string(what));
 }
 
 }  // namespace problp

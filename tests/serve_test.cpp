@@ -211,6 +211,45 @@ TEST_F(ServeTest, CallbackFlavourCompletesExactlyOnce) {
   expect_accounting_identity(server.stats());
 }
 
+// A callback that throws has still received its answer, and stats() counts
+// it ok before it runs; the rest of its group completes as typed errors.
+// Either way every request is counted exactly once.
+TEST_F(ServeTest, ThrowingCallbackKeepsAccountingIdentity) {
+  const auto model = test_model();
+  ServerOptions options;
+  options.batch_max = 4;
+  options.workers = 1;
+  options.flush_deadline = ms(100);
+  options.clock = std::make_shared<ManualClock>();  // only the size cut fires
+  Server server(model, options);
+
+  std::mutex mutex;
+  std::vector<Status> statuses;
+  std::uint64_t ok_seen_by_thrower = 0;
+  bool thrown = false;
+  for (const auto& e : sampled_evidence(*model, 4, 5)) {
+    server.submit(marginal_request(e), [&](Response r) {
+      std::lock_guard<std::mutex> lock(mutex);
+      statuses.push_back(r.status);
+      if (!thrown) {
+        thrown = true;
+        ok_seen_by_thrower = server.stats().completed_ok;
+        throw std::runtime_error("callback failed");
+      }
+      EXPECT_NE(r.message.find("callback failed"), std::string::npos) << r.message;
+    });
+  }
+  server.shutdown(true);
+  ASSERT_EQ(statuses.size(), 4u);
+  EXPECT_EQ(statuses[0], Status::kOk);
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(statuses[i], Status::kError);
+  EXPECT_GE(ok_seen_by_thrower, 1u);
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.completed_ok, 1u);
+  EXPECT_EQ(s.errors, 3u);
+  expect_accounting_identity(s);
+}
+
 // A server runs exactly `workers` threads: each shard's worker is its own
 // batcher.
 TEST_F(ServeTest, RunsOneThreadPerShard) {
