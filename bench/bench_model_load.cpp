@@ -1,28 +1,21 @@
-// Cold-load latency of the two model artifact formats: the legacy text
-// artifact (parse both circuit arenas, recompile both tapes, relayout,
-// reschedule) versus the binary mmap container (runtime/artifact.hpp —
-// map, validate checksums, adopt the persisted arrays as views).
+// Cold-load latency of the binary mmap model artifact (runtime/artifact.hpp
+// — map, validate checksums, adopt the persisted arrays as views).
 //
 // One JSON line per run (scripts/bench.sh appends to BENCH_load.json):
 //
 //   {"bench":"model_load","circuit":"alarm","batch":512,
-//    "text_bytes":...,"binary_bytes":...,
-//    "text_load_ms":...,"binary_load_ms":...,"load_speedup":...,
-//    "text_rss_delta_kb":...,"binary_rss_delta_kb":...,"mmap":true,
-//    "parity_checksum":"...","fixed_parity_checksum":"...",
+//    "binary_bytes":...,"binary_load_ms":...,"binary_rss_delta_kb":...,
+//    "mmap":true,"parity_checksum":"...","fixed_parity_checksum":"...",
 //    "float_parity_checksum":"..."}
 //
-// The load timings are in-process cold loads (fresh file, first touch of
+// The load timing is an in-process cold load (fresh file, first touch of
 // the mapping); rss_delta is the VmRSS growth across the load, the
 // resident cost of *opening* a model before any query traffic.  The three
 // checksums (exact double, fixed 2.22 nearest-even, float 8,23) are summed
 // batched-marginal roots over the ALARM test evidence and must be
-// bit-identical across the in-memory model, the text-loaded model and the
-// mmap-loaded model — the bench exits non-zero on any drift, so CI gets
-// zero-copy parity for free with the latency row.
-//
-// Acceptance for the artifact layer (ISSUE 8): binary_load_ms must beat
-// text_load_ms by >= 20x on ALARM.
+// bit-identical between the in-memory model and the mmap-loaded model —
+// the bench exits non-zero on any drift, so CI gets zero-copy parity for
+// free with the latency row.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -101,69 +94,44 @@ int run() {
   model->analyze(errormodel::QuerySpec{errormodel::QueryType::kMarginal,
                                        errormodel::ToleranceKind::kAbsolute, 0.01});
 
-  const std::string text_path = "/tmp/problp_bench_model.txt.pm";
   const std::string binary_path = "/tmp/problp_bench_model.pm";
-  {
-    std::ofstream out(text_path);
-    out << model->to_text();
-  }
   model->save(binary_path);
 
   const Checksums reference = all_checksums(model, evidence);
 
-  // Best of 5 loads: the files were just written so the page cache is warm
-  // for both formats — the repeats strip scheduler noise, not disk time,
-  // keeping the comparison load-pipeline vs load-pipeline.  RSS delta is
-  // taken on the first (coldest) iteration, before the process has faulted
-  // either artifact in.
-  const auto time_load = [](const std::string& path, long* rss_delta_kb) {
-    double best_ms = 0.0;
-    std::shared_ptr<const runtime::CompiledModel> loaded;
-    for (int rep = 0; rep < 5; ++rep) {
-      const long rss0 = resident_kb();
-      const auto t0 = std::chrono::steady_clock::now();
-      loaded = runtime::CompiledModel::load(path);
-      const double ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (rep == 0) *rss_delta_kb = resident_kb() - rss0;
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-    }
-    return std::make_pair(best_ms, loaded);
-  };
-
-  long text_rss_kb = 0;
+  // Best of 5 loads: the file was just written so the page cache is warm —
+  // the repeats strip scheduler noise, not disk time.  RSS delta is taken
+  // on the first (coldest) iteration, before the process has faulted the
+  // artifact in.
   long binary_rss_kb = 0;
-  const auto [text_ms, text_model] = time_load(text_path, &text_rss_kb);
-  const auto [binary_ms, binary_model] = time_load(binary_path, &binary_rss_kb);
+  double binary_ms = 0.0;
+  std::shared_ptr<const runtime::CompiledModel> binary_model;
+  for (int rep = 0; rep < 5; ++rep) {
+    const long rss0 = resident_kb();
+    const auto t0 = std::chrono::steady_clock::now();
+    binary_model = runtime::CompiledModel::load(binary_path);
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    if (rep == 0) binary_rss_kb = resident_kb() - rss0;
+    if (rep == 0 || ms < binary_ms) binary_ms = ms;
+  }
 
-  const Checksums text_sums = all_checksums(text_model, evidence);
-  const Checksums binary_sums = all_checksums(binary_model, evidence);
-
-  bool ok = true;
-  const auto check = [&](const char* which, const Checksums& got) {
-    if (!same_bits(got.exact, reference.exact) || !same_bits(got.fixed, reference.fixed) ||
-        !same_bits(got.flt, reference.flt)) {
-      std::fprintf(stderr,
-                   "LOAD PARITY VIOLATION (%s): exact %.17g/%.17g fixed %.17g/%.17g "
-                   "float %.17g/%.17g\n",
-                   which, got.exact, reference.exact, got.fixed, reference.fixed, got.flt,
-                   reference.flt);
-      ok = false;
-    }
-  };
-  check("text", text_sums);
-  check("binary", binary_sums);
+  const Checksums got = all_checksums(binary_model, evidence);
+  const bool ok = same_bits(got.exact, reference.exact) &&
+                  same_bits(got.fixed, reference.fixed) && same_bits(got.flt, reference.flt);
+  if (!ok) {
+    std::fprintf(stderr,
+                 "LOAD PARITY VIOLATION (binary): exact %.17g/%.17g fixed %.17g/%.17g "
+                 "float %.17g/%.17g\n",
+                 got.exact, reference.exact, got.fixed, reference.fixed, got.flt, reference.flt);
+  }
 
   std::printf(
       "{\"bench\":\"model_load\",\"circuit\":\"alarm\",\"batch\":%zu,"
-      "\"text_bytes\":%zu,\"binary_bytes\":%zu,"
-      "\"text_load_ms\":%.3f,\"binary_load_ms\":%.3f,\"load_speedup\":%.1f,"
-      "\"text_rss_delta_kb\":%ld,\"binary_rss_delta_kb\":%ld,\"mmap\":%s,"
-      "\"parity_checksum\":\"%.17g\",\"fixed_parity_checksum\":\"%.17g\","
+      "\"binary_bytes\":%zu,\"binary_load_ms\":%.3f,\"binary_rss_delta_kb\":%ld,"
+      "\"mmap\":%s,\"parity_checksum\":\"%.17g\",\"fixed_parity_checksum\":\"%.17g\","
       "\"float_parity_checksum\":\"%.17g\"}\n",
-      evidence.size(), file_bytes(text_path), file_bytes(binary_path), text_ms, binary_ms,
-      binary_ms > 0 ? text_ms / binary_ms : 0.0, text_rss_kb, binary_rss_kb,
+      evidence.size(), file_bytes(binary_path), binary_ms, binary_rss_kb,
       binary_model->memory_mapped() ? "true" : "false", reference.exact, reference.fixed,
       reference.flt);
   return ok ? 0 : 1;

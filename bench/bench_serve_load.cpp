@@ -6,10 +6,13 @@
 //
 //   1. raw        — the reference: one InferenceSession driving the batched
 //                   marginal sweep directly at the server's batch size.
-//   2. closed loop — 1..N client threads, each keeping a window of
-//                   outstanding requests (so the workers cut real batches),
-//                   swept across 1 and 2 worker shards.  Per-row: workers,
-//                   clients, qps, client-observed p50/p99 latency.  The
+//   2. closed loop — 1..N client threads sharing a window of
+//                   (workers + 1) x batch_max outstanding requests (so
+//                   every shard can hold a full batch while the clients
+//                   refill the next one), swept across 1 and 2 worker
+//                   shards with clients + workers <= nproc.  Per-row:
+//                   workers, clients, window, qps, client-observed p50/p99
+//                   latency.  The
 //                   headline ratio compares like with like: one serving
 //                   worker against one raw engine thread,
 //                   `throughput_ratio` = best workers=1 qps / raw qps
@@ -19,8 +22,8 @@
 //                   `two_worker_qps` and `two_worker_scaling` (best
 //                   workers=2 qps / best workers=1 qps).
 //   3. open loop  — requests arrive at 2x the measured saturation rate with
-//                   per-request deadlines and the overload controller armed
-//                   (degrade past half the queue, shed past 3/4).  Nothing
+//                   per-request deadlines and shedding armed past 3/4 of
+//                   the queue.  Nothing
 //                   waits for completions: this is the overload-robustness
 //                   probe.  The bench FAILS (non-zero exit, no JSON) unless
 //                   every submitted request completed exactly once with a
@@ -34,15 +37,16 @@
 //
 //   {"bench":"serve_load","circuit":"alarm","nodes":...,"batch_max":...,
 //    "flush_deadline_us":...,"raw_batched_qps":...,
-//    "closed":[{"workers":1,"clients":1,"qps":...,"p50_us":...,
+//    "closed":[{"workers":1,"clients":1,"window":...,"qps":...,"p50_us":...,
 //     "p99_us":...},...],
 //    "throughput_ratio":...,"two_worker_qps":...,"two_worker_scaling":...,
 //    "open_loop":{"workers":2,"offered_qps":...,"duration_s":...,
 //     "submitted":...,"ok":...,"timed_out":...,"rejected":...,
-//     "degraded":...,"p50_us":...,"p99_us":...},"exactly_once":true}
+//     "p50_us":...,"p99_us":...},"exactly_once":true}
 //
 // Flags: --min-seconds=S (measurement window per phase, default 0.3),
-//        --clients=N (max closed-loop clients, default 8).
+//        --clients=N (max closed-loop clients, default 8; the sweep also
+//        stops where clients + workers would exceed nproc).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -79,6 +83,7 @@ double quantile_us(std::vector<double>& latencies_us, double q) {
 struct ClosedLoopRow {
   int clients = 0;
   int workers = 1;
+  int window = 0;  ///< outstanding requests per client
   double qps = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
@@ -163,6 +168,7 @@ ClosedLoopRow closed_loop(serve::Server& server, const std::vector<ac::PartialAs
   }
   ClosedLoopRow row;
   row.clients = clients;
+  row.window = window;
   row.qps = static_cast<double>(completed) / elapsed;
   row.p50_us = quantile_us(latencies_us, 0.50);
   row.p99_us = quantile_us(latencies_us, 0.99);
@@ -218,16 +224,23 @@ int main(int argc, char** argv) {
   // workers=1 is the pure-overhead row (everything the stack adds rides the
   // single evaluation thread); workers=2 is the deployment shape, where the
   // second shard hides the per-request completion cost behind evaluation.
+  const int nproc = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   std::vector<ClosedLoopRow> closed;
   double best_qps[2] = {0.0, 0.0};  // per worker count
   for (int workers = 1; workers <= 2; ++workers) {
     serve::ServerOptions worker_options = options;
     worker_options.workers = workers;
     serve::Server server(model, worker_options);
-    for (int clients = 1; clients <= max_clients; clients *= 2) {
-      // Total outstanding stays ~2 batches regardless of the client count,
-      // so the clients axis varies producer contention, not offered load.
-      const int window = std::max(1, 512 / clients);
+    // Client threads and workers share the cores: more clients than the
+    // workers leave free would measure oversubscription, not the server.
+    const int clients_max = std::max(1, std::min(max_clients, nproc - workers));
+    for (int clients = 1; clients <= clients_max; clients *= 2) {
+      // Total outstanding is (workers + 1) batches regardless of the client
+      // count: by Little's law every shard can then hold a full batch while
+      // the clients refill the next one, and the clients axis varies
+      // producer contention, not offered load.
+      const int window =
+          std::max(1, (workers + 1) * static_cast<int>(options.batch_max) / clients);
       ClosedLoopRow row = closed_loop(server, pool, clients, window, min_seconds);
       row.workers = workers;
       std::fprintf(stderr, "closed loop, %d worker(s), %2d clients (window %3d): %.0f qps  "
@@ -253,13 +266,9 @@ int main(int argc, char** argv) {
                        "(%.2fx 1 worker)\n",
                ratio, best_qps[1], two_worker_scaling);
 
-  // ---- phase 3: open loop at 2x saturation with overload armed -------------
+  // ---- phase 3: open loop at 2x saturation with shedding armed -------------
   serve::ServerOptions overload_options = options;
   overload_options.workers = 2;  // the deployment shape phase 2 measured
-  overload_options.overload.degraded = serve::DegradedTier{
-      Representation::of(lowprec::FixedFormat{2, 22}), lowprec::RoundingMode::kNearestEven,
-      /*error_bound=*/0.01};
-  overload_options.overload.degrade_depth = overload_options.capacity / 2;
   overload_options.overload.shed_depth = overload_options.capacity * 3 / 4;
   const double offered_qps = 2.0 * std::max(best_qps[0], best_qps[1]);
   std::uint64_t open_submitted = 0;
@@ -297,13 +306,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "open loop @ %.0f qps offered: submitted %llu  ok %llu  timeout %llu  "
-               "rejected %llu  degraded %llu\n",
+               "rejected %llu\n",
                offered_qps, static_cast<unsigned long long>(open_submitted),
                static_cast<unsigned long long>(open_stats.completed_ok),
                static_cast<unsigned long long>(open_stats.timed_out),
                static_cast<unsigned long long>(open_stats.rejected_overload +
-                                               open_stats.rejected_queue_full),
-               static_cast<unsigned long long>(open_stats.degraded_admitted));
+                                               open_stats.rejected_queue_full));
 
   // Overload safety IS the acceptance gate: every open-loop request must
   // have completed exactly once with a value or a typed timeout/rejection.
@@ -330,14 +338,15 @@ int main(int argc, char** argv) {
                                          .count()),
               raw_qps);
   for (std::size_t r = 0; r < closed.size(); ++r) {
-    std::printf("%s{\"workers\":%d,\"clients\":%d,\"qps\":%.0f,\"p50_us\":%.0f,\"p99_us\":%.0f}",
-                r == 0 ? "" : ",", closed[r].workers, closed[r].clients, closed[r].qps,
-                closed[r].p50_us, closed[r].p99_us);
+    std::printf("%s{\"workers\":%d,\"clients\":%d,\"window\":%d,\"qps\":%.0f,"
+                "\"p50_us\":%.0f,\"p99_us\":%.0f}",
+                r == 0 ? "" : ",", closed[r].workers, closed[r].clients, closed[r].window,
+                closed[r].qps, closed[r].p50_us, closed[r].p99_us);
   }
   std::printf("],\"throughput_ratio\":%.3f,\"two_worker_qps\":%.0f,"
               "\"two_worker_scaling\":%.3f,\"open_loop\":{\"workers\":2,\"offered_qps\":%.0f,"
               "\"duration_s\":%.2f,\"submitted\":%llu,\"ok\":%llu,\"timed_out\":%llu,"
-              "\"rejected\":%llu,\"degraded\":%llu,\"p50_us\":%.0f,\"p99_us\":%.0f},"
+              "\"rejected\":%llu,\"p50_us\":%.0f,\"p99_us\":%.0f},"
               "\"exactly_once\":true}\n",
               ratio, best_qps[1], two_worker_scaling, offered_qps, open_elapsed,
               static_cast<unsigned long long>(open_submitted),
@@ -345,7 +354,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(open_stats.timed_out),
               static_cast<unsigned long long>(open_stats.rejected_overload +
                                               open_stats.rejected_queue_full),
-              static_cast<unsigned long long>(open_stats.degraded_admitted),
               quantile_us(open_latencies_us, 0.50), quantile_us(open_latencies_us, 0.99));
   return 0;
 }

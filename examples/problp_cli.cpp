@@ -32,11 +32,10 @@
 //
 // --serve N pushes N sampled requests through the overload-safe async
 // front-end (src/serve/, docs/serving.md): --serve-workers shards, each a
-// bounded queue whose own worker thread cuts batches and serves them from
-// its session pool (no separate batcher thread), and an overload controller
-// whose degrade rung is the analysis' selected representation — degraded
-// answers carry that format and its analytic error bound.  Exit codes follow the same
-// contract as the rest of the CLI: any typed rejection/timeout/error among
+// bounded queue whose own worker thread cuts batches and serves them on the
+// exact backend (no separate batcher thread); past 3/4 of --serve-capacity
+// admission sheds new requests with a typed rejection.  Exit codes follow
+// the same contract as the rest of the CLI: any typed rejection/timeout/error among
 // the completions exits 3 (like surviving flags), a misconfigured queue
 // (e.g. --serve-batch larger than --serve-capacity) exits 2 with a
 // found-vs-expected message in the artifact-mismatch style, and a clean
@@ -55,7 +54,6 @@
 #include <fstream>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -459,11 +457,6 @@ int main(int argc, char** argv) {
       sopts.workers = static_cast<int>(serve_workers);
       sopts.flush_deadline = std::chrono::milliseconds(1);
       sopts.full_policy = serve::ServerOptions::FullPolicy::kBlock;
-      // The analysis' selected rung is the degrade tier: under pressure the
-      // tail of a burst is served low-precision, and every degraded answer
-      // carries the rung's format and analytic bound in its provenance.
-      sopts.overload.degraded = serve::DegradedTier::from_report(*model, report);
-      sopts.overload.degrade_depth = std::max<std::size_t>(1, sopts.capacity / 2);
       sopts.overload.shed_depth = std::max<std::size_t>(2, sopts.capacity * 3 / 4);
 
       std::unique_ptr<serve::Server> server;
@@ -475,11 +468,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
-      std::printf("serve: capacity %zu, batch_max %zu, %d worker(s), degrade rung %s "
-                  "(analytic bound <= %.3g)\n",
-                  sopts.capacity, sopts.batch_max, sopts.workers,
-                  sopts.overload.degraded->repr.to_string().c_str(),
-                  sopts.overload.degraded->error_bound);
+      std::printf("serve: capacity %zu, batch_max %zu, %d worker(s), shed depth %zu\n",
+                  sopts.capacity, sopts.batch_max, sopts.workers, sopts.overload.shed_depth);
 
       Rng rng(11);
       std::vector<ac::PartialAssignment> serve_evidence;
@@ -492,28 +482,20 @@ int main(int argc, char** argv) {
       }
 
       // Closed loop with a 64-wide window: below the default capacity's
-      // degrade threshold, so a clean run exits 0 — while shrinking the
-      // queue (e.g. --serve-capacity 8 --serve-batch 8) pushes the same
-      // window across the degrade/shed depths, demonstrating the controller
-      // (any typed rejection flips the exit status to 3).
+      // shed threshold, so a clean run exits 0 — while shrinking the queue
+      // (e.g. --serve-capacity 8 --serve-batch 8) pushes the same window
+      // across the shed depth (any typed rejection flips the exit status
+      // to 3).
       const std::size_t window = std::min<std::size_t>(sopts.capacity, 64);
       std::deque<std::future<serve::Response>> in_flight;
       std::uint64_t ok = 0;
-      std::uint64_t degraded = 0;
       std::uint64_t timeouts = 0;
       std::uint64_t rejected = 0;
       std::uint64_t worker_errors = 0;
-      std::optional<Representation> degraded_format;
       const auto consume = [&](serve::Response response) {
         switch (response.status) {
           case serve::Status::kOk:
             ++ok;
-            if (response.tier == serve::Tier::kDegraded) {
-              ++degraded;
-              if (!degraded_format && response.served_format) {
-                degraded_format = response.served_format;
-              }
-            }
             break;
           case serve::Status::kTimeout:
             ++timeouts;
@@ -548,22 +530,17 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
       const serve::StatsSnapshot stats = server->stats();
-      std::printf("serve: %ld requests in %.3f s (%.0f q/s): %llu ok (%llu degraded), "
+      std::printf("serve: %ld requests in %.3f s (%.0f q/s): %llu ok, "
                   "%llu timeout, %llu rejected, %llu error; flushes %llu by size / %llu by "
                   "deadline, double completions %llu\n",
                   serve_requests, secs, static_cast<double>(serve_requests) / secs,
-                  static_cast<unsigned long long>(ok), static_cast<unsigned long long>(degraded),
+                  static_cast<unsigned long long>(ok),
                   static_cast<unsigned long long>(timeouts),
                   static_cast<unsigned long long>(rejected),
                   static_cast<unsigned long long>(worker_errors),
                   static_cast<unsigned long long>(stats.flushes_by_size),
                   static_cast<unsigned long long>(stats.flushes_by_deadline),
                   static_cast<unsigned long long>(stats.double_completions));
-      if (degraded_format) {
-        std::printf("serve: degraded answers served on %s (analytic bound <= %.3g)\n",
-                    degraded_format->to_string().c_str(),
-                    sopts.overload.degraded->error_bound);
-      }
       if (timeouts + rejected + worker_errors > 0) {
         // Typed non-ok completions gate scripts exactly like surviving
         // flags do: exit 3, with the counts above naming what happened.

@@ -62,20 +62,21 @@
 #
 # The model-artifact layer (runtime/artifact.hpp) adds a second output
 # file, BENCH_load.json: bench_model_load writes one line per run with the
-# cold-load latency and VmRSS growth of the legacy text artifact (parse +
-# recompile) versus the binary mmap container (map + validate + adopt
-# views) on the ALARM model, plus exact/fixed/float parity checksums that
-# must match the in-memory model bit for bit (acceptance: load_speedup
-# >= 20x; the bench exits non-zero on any checksum drift before a line is
-# appended).
+# cold-load latency and VmRSS growth of the binary mmap container (map +
+# validate + adopt views) on the ALARM model, plus exact/fixed/float parity
+# checksums that must match the in-memory model bit for bit (the bench
+# exits non-zero on any checksum drift before a line is appended).  Older
+# rows also carry text_* fields and load_speedup from the removed text
+# artifact.
 #
 # The async serving front-end (src/serve/) adds a third output file,
 # BENCH_serve.json: bench_serve_load writes one line per run with the raw
 # batched engine reference (median of 5 rounds), closed-loop qps + p50/p99
-# rows at 1..N clients across 1..2 worker shards, the headline
-# throughput_ratio (acceptance: >= 0.85 — coalescing within 15% of the raw
-# engine at saturation), and an open-loop overload row at 2x the measured
-# saturation rate with degradation and shedding armed.  The bench exits
+# rows at 1..N clients (clients + workers <= nproc, sharing a window of
+# (workers + 1) x batch_max requests) across 1..2 worker shards, the
+# headline throughput_ratio (acceptance: >= 0.85 — coalescing within 15% of
+# the raw engine at saturation), and an open-loop overload row at 2x the
+# measured saturation rate with shedding armed.  The bench exits
 # non-zero before printing its line unless every submitted request
 # completed exactly once (the accounting identity the serve tests pin
 # down), so a BENCH_serve.json row doubles as overload-safety evidence —

@@ -183,22 +183,26 @@ void ArtifactWriter::write(const std::string& path) const {
   }
 }
 
-bool MappedArtifact::sniff(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  unsigned char magic[8] = {};
-  in.read(reinterpret_cast<char*>(magic), 8);
-  return in.gcount() == 8 && std::memcmp(magic, kArtifactMagic, 8) == 0;
-}
-
 ArtifactInfo MappedArtifact::peek(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   require(in.good(), "artifact: cannot open " + path);
   unsigned char head[kHeaderSize];
   in.read(reinterpret_cast<char*>(head), kHeaderSize);
-  require(static_cast<std::size_t>(in.gcount()) == kHeaderSize,
-          "artifact: " + path + " is shorter than a header");
-  require(std::memcmp(head, kArtifactMagic, 8) == 0,
-          "artifact: " + path + " is not a binary model artifact (bad magic)");
+  const auto got = static_cast<std::size_t>(in.gcount());
+  if (got < sizeof kArtifactMagic ||
+      std::memcmp(head, kArtifactMagic, sizeof kArtifactMagic) != 0) {
+    // The pre-binary text artifact started with a "problp-model <version>"
+    // line; name it, so the fix (a re-save) is in the message.
+    const std::string found(reinterpret_cast<const char*>(head), got);
+    if (found.rfind("problp-model", 0) == 0) {
+      throw Error("artifact: " + path + ": found legacy text artifact '" +
+                  found.substr(0, found.find('\n')) +
+                  "', expected binary model artifact — re-save it with CompiledModel::save / "
+                  "problp_cli --save-model");
+    }
+    throw Error("artifact: " + path + " is not a binary model artifact (bad magic)");
+  }
+  require(got == kHeaderSize, "artifact: " + path + " is shorter than a header");
   ArtifactInfo info;
   info.version = get_u32(head + 8);
   const std::uint32_t endian = get_u32(head + 12);

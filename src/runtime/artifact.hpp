@@ -1,10 +1,10 @@
 // Flat, versioned, mmap-able model artifact container.
 //
-// The text model artifact (runtime/compiled_model.hpp to_text/from_text)
-// re-parses every circuit node and recompiles every tape, layout and kernel
-// schedule on load — O(model) work before the first query.  This container
-// instead persists the *compiled* flat arrays byte-for-byte behind a
-// section table, so a loader can mmap the file and hand out typed views
+// A model that re-parsed every circuit node and recompiled every tape,
+// layout and kernel schedule on load would pay O(model) work before the
+// first query.  This container instead persists the *compiled* flat
+// arrays byte-for-byte behind a section table, so a loader can mmap the
+// file and hand out typed views
 // into the mapped pages: load cost is O(pages touched), not O(model), and
 // N processes serving one model share one page-cache copy (the
 // phrase-table-on-disk idiom).
@@ -113,12 +113,10 @@ class ArtifactWriter {
 /// any adopted view is.
 class MappedArtifact {
  public:
-  /// Whether `path` starts with the binary artifact magic (false also on a
-  /// missing/short file) — the format sniff behind CompiledModel::load.
-  static bool sniff(const std::string& path);
-
   /// Header-only read: identity of the artifact without validating or
-  /// touching payload pages.  Throws on a missing/foreign/short file.
+  /// touching payload pages.  Throws on a missing/foreign/short file; a
+  /// legacy `problp-model` text artifact gets a message asking for a
+  /// re-save.
   static ArtifactInfo peek(const std::string& path);
 
   /// Maps and fully validates `path`: magic, version, endianness, file

@@ -1,7 +1,6 @@
 #include "runtime/compiled_model.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -545,17 +544,6 @@ HardwareReport CompiledModel::generate_hardware(const AnalysisReport& report) co
 
 // ---- persistence -----------------------------------------------------------
 
-std::string CompiledModel::to_text() const {
-  const std::string binary_text = ac::to_text(binary_circuit());
-  const std::string max_text = ac::to_text(binary_max_circuit());
-  std::ostringstream os;
-  os << "problp-model 1\n";
-  os << "decomposition " << to_keyword(options_.decomposition) << "\n";
-  os << "circuit " << binary_text.size() << "\n" << binary_text;
-  os << "maxcircuit " << max_text.size() << "\n" << max_text;
-  return os.str();
-}
-
 void CompiledModel::save(const std::string& path) const {
   ArtifactWriter w(name_);
 
@@ -613,57 +601,8 @@ void CompiledModel::save(const std::string& path) const {
   w.write(path);
 }
 
-std::shared_ptr<const CompiledModel> CompiledModel::from_text(const std::string& text,
-                                                              FrameworkOptions options) {
-  std::size_t pos = 0;
-  auto read_line = [&]() -> std::string {
-    const std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) throw ParseError("model load: truncated artifact");
-    std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    return line;
-  };
-  auto read_sized_section = [&](const std::string& keyword) -> std::string {
-    std::istringstream header(read_line());
-    std::string word;
-    std::size_t size = 0;
-    header >> word >> size;
-    if (word != keyword) {
-      throw ParseError("model load: expected '" + keyword + "', got '" + word + "'");
-    }
-    if (pos + size > text.size()) throw ParseError("model load: truncated " + keyword);
-    std::string payload = text.substr(pos, size);
-    pos += size;
-    return payload;
-  };
-
-  if (read_line() != "problp-model 1") {
-    throw ParseError("model load: bad header (want 'problp-model 1')");
-  }
-  {
-    std::istringstream header(read_line());
-    std::string word;
-    std::string style;
-    header >> word >> style;
-    if (word != "decomposition") throw ParseError("model load: expected 'decomposition'");
-    options.decomposition = decomposition_from_keyword(style);
-  }
-  ac::Circuit binary = ac::from_text(read_sized_section("circuit"));
-  ac::Circuit max_circuit = ac::from_text(read_sized_section("maxcircuit"));
-
-  // The maximiser is installed eagerly from the artifact so it is never
-  // re-derived (a re-derivation from the *binarised* circuit could differ
-  // from the compile-time binarize(to_max(nary)) order), so no source
-  // arena is kept.
-  auto model = std::shared_ptr<CompiledModel>(
-      new CompiledModel(std::nullopt, std::move(binary), options));
-  ac::CircuitTape max_tape = ac::CircuitTape::compile(max_circuit);
-  model->max_.reset(new MaxArtifact{std::move(max_circuit), std::move(max_tape)});
-  return model;
-}
-
-std::shared_ptr<CompiledModel> CompiledModel::load_binary(const std::string& path,
-                                                          FrameworkOptions options) {
+std::shared_ptr<const CompiledModel> CompiledModel::load(const std::string& path,
+                                                         FrameworkOptions options) {
   auto mapping =
       std::make_shared<MappedArtifact>(MappedArtifact::open(path, options.artifact_read_copy));
   const MappedArtifact& art = *mapping;
@@ -720,16 +659,6 @@ std::shared_ptr<CompiledModel> CompiledModel::load_binary(const std::string& pat
     model->reports_.emplace(key, std::move(r));
   }
   return model;
-}
-
-std::shared_ptr<const CompiledModel> CompiledModel::load(const std::string& path,
-                                                         FrameworkOptions options) {
-  if (MappedArtifact::sniff(path)) return load_binary(path, options);
-  std::ifstream f(path);
-  require(f.good(), "CompiledModel::load: cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return from_text(buf.str(), options);
 }
 
 }  // namespace problp::runtime

@@ -30,12 +30,12 @@
 // (runtime/artifact.hpp) persisting the compiled flat arrays — both tapes,
 // their layouts and kernel schedules, cached analysis reports and the
 // quantised leaf caches of the selected formats — next to the circuit
-// texts.  load() sniffs the format: a binary artifact is mapped and its
-// tapes rebuilt as zero-copy views over the file (the circuits themselves
-// are parsed lazily, only when a caller actually needs arena objects —
-// analyze() on an uncached spec, hardware generation, re-serialisation);
-// the legacy versioned text artifact (to_text()/from_text()) loads through
-// the same entry point.
+// texts.  load() maps it and rebuilds the tapes as zero-copy views over the
+// file (the circuits themselves are parsed lazily, only when a caller
+// actually needs arena objects — analyze() on an uncached spec, hardware
+// generation, re-serialisation).  The binary artifact is the only format:
+// a legacy `problp-model 1` text file is rejected with a message asking
+// for a re-save.
 #pragma once
 
 #include <cstdint>
@@ -80,18 +80,13 @@ class CompiledModel {
                                                    FrameworkOptions options = {});
 
   // ---- artifact persistence ------------------------------------------------
-  /// Versioned plain-text artifact embedding both binarised circuits
-  /// (forces the lazy max circuit, so a loaded model never re-derives it).
-  std::string to_text() const;
   /// Binary mmap-able artifact (runtime/artifact.hpp): compiled tapes,
   /// layouts, kernel schedules, cached reports and the leaf caches of the
   /// cached reports' selected formats.  Written atomically (temp file +
   /// rename); readers never observe a half-written file.
   void save(const std::string& path) const;
-  static std::shared_ptr<const CompiledModel> from_text(const std::string& text,
-                                                        FrameworkOptions options = {});
-  /// Loads either artifact format, sniffed by magic: binary artifacts map
-  /// zero-copy, text artifacts parse-and-recompile.
+  /// Maps a binary artifact written by save(), zero-copy.  Throws Error
+  /// with a found-vs-expected message on anything else.
   static std::shared_ptr<const CompiledModel> load(const std::string& path,
                                                    FrameworkOptions options = {});
 
@@ -112,7 +107,7 @@ class CompiledModel {
   /// a loaded artifact; empty when neither carried one.
   const std::string& name() const { return name_; }
   /// Artifact format version this model was loaded from; 0 when the model
-  /// was compiled in-process (or loaded from the legacy text artifact).
+  /// was compiled in-process.
   std::uint32_t artifact_version() const { return artifact_version_; }
   /// Whether this model serves zero-copy views over a mapped artifact.
   bool memory_mapped() const { return mapping_ != nullptr && mapping_->mapped(); }
@@ -145,9 +140,6 @@ class CompiledModel {
   CompiledModel(std::shared_ptr<MappedArtifact> mapping, ac::CircuitTape tape,
                 FrameworkOptions options);
 
-  static std::shared_ptr<CompiledModel> load_binary(const std::string& path,
-                                                    FrameworkOptions options);
-
   /// Parses the marginal circuit from the mapped artifact if absent; call
   /// with mutex_ held.
   const ac::Circuit& ensure_binary_locked() const;
@@ -162,7 +154,7 @@ class CompiledModel {
 
   /// Mapped artifact backing the view-backed tapes.  Declared first so it
   /// is destroyed last — every view member below must die before the
-  /// mapping does.  Null for in-process / text-loaded models.
+  /// mapping does.  Null for in-process models.
   std::shared_ptr<MappedArtifact> mapping_;
   FrameworkOptions options_;
   std::string name_;

@@ -9,19 +9,11 @@
 namespace problp::runtime {
 
 std::shared_ptr<const CompiledModel> ModelRegistry::get(const std::string& path) {
-  // Peeking reads only the header, so identity resolution never maps (or
-  // text-parses) an artifact that is already resident.  Text artifacts have
-  // no header hash; they key on a hash of the path instead, which keeps
-  // them usable through the registry at the cost of path-based identity.
-  std::uint64_t key = 0;
-  std::uint64_t bytes = 0;
-  if (MappedArtifact::sniff(path)) {
-    const ArtifactInfo info = MappedArtifact::peek(path);
-    key = info.content_hash;
-    bytes = info.file_size;
-  } else {
-    key = fnv1a64(path.data(), path.size());
-  }
+  // Peeking reads only the header, so identity resolution never maps an
+  // artifact that is already resident.
+  const ArtifactInfo info = MappedArtifact::peek(path);
+  const std::uint64_t key = info.content_hash;
+  const std::uint64_t bytes = info.file_size;
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);

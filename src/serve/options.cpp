@@ -4,23 +4,6 @@
 
 namespace problp::serve {
 
-DegradedTier DegradedTier::from_report(const runtime::CompiledModel& model,
-                                       const AnalysisReport& report) {
-  require(report.any_feasible,
-          "DegradedTier::from_report: the analysis found no feasible representation — "
-          "there is no rung to degrade to");
-  DegradedTier tier;
-  tier.repr = report.selected;
-  if (report.selected.kind == Representation::Kind::kFixed) {
-    tier.rounding = model.options().search.fixed_options.rounding;
-    tier.error_bound = report.fixed_plan.predicted_bound;
-  } else {
-    tier.rounding = model.options().search.float_rounding;
-    tier.error_bound = report.float_plan.predicted_bound;
-  }
-  return tier;
-}
-
 void ServerOptions::validate() const {
   require(capacity >= 1, str_format("serve: queue capacity: found %zu, expected >= 1", capacity));
   require(batch_max >= 1, str_format("serve: batch_max: found %zu, expected >= 1", batch_max));
@@ -32,25 +15,6 @@ void ServerOptions::validate() const {
   if (full_policy == FullPolicy::kBlock) {
     require(block_timeout.count() > 0,
             "serve: block_timeout: found <= 0, expected > 0 under FullPolicy::kBlock");
-  }
-  const bool has_degrade_trigger =
-      overload.degrade_depth != SIZE_MAX || overload.degrade_p99.has_value();
-  if (has_degrade_trigger) {
-    require(overload.degraded.has_value(),
-            "serve: overload degrade threshold set but no degraded tier configured: "
-            "found no rung, expected OverloadPolicy::degraded");
-  }
-  if (overload.degraded) {
-    if (overload.degraded->repr.kind == Representation::Kind::kFixed) {
-      overload.degraded->repr.fixed.validate();
-    } else {
-      overload.degraded->repr.flt.validate();
-    }
-  }
-  if (overload.degrade_depth != SIZE_MAX) {
-    require(overload.degrade_depth <= overload.shed_depth,
-            str_format("serve: degrade_depth: found %zu, expected <= shed_depth (%zu)",
-                       overload.degrade_depth, overload.shed_depth));
   }
   // The session options the workers will run with are validated by every
   // InferenceSession constructor; re-check the cheap parts here so the

@@ -3,72 +3,39 @@
 // construction (validate(), found-vs-expected messages) rather than under
 // load.
 //
-// The three pressure valves, in the order they engage as load rises:
+// The two pressure valves, in the order they engage as load rises:
 //
-//   1. coalescing   — requests wait at most `flush_deadline` on their
-//                     shard's queue to ride a batch of up to `batch_max`
-//                     that the shard's worker cuts (bigger batches = the
-//                     SIMD engines' preferred shape).
-//   2. degradation  — past OverloadPolicy::degrade_depth (or an observed-p99
-//                     threshold), *new* requests are admitted onto the
-//                     configured lower-precision rung: cheaper to serve, and
-//                     — this is ProbLP's trick — still carrying the format's
-//                     analytic a-priori error bound, so the caller knows
-//                     exactly what it traded.
-//   3. shedding     — past OverloadPolicy::shed_depth (and always when the
-//                     bounded queues are full under FullPolicy::kReject,
-//                     or stays full past the block timeout under kBlock), new
-//                     requests complete immediately with a typed rejection.
-//                     The queue never grows without bound.
+//   1. coalescing — requests wait at most `flush_deadline` on their shard's
+//                   queue to ride a batch of up to `batch_max` that the
+//                   shard's worker cuts (bigger batches = the SIMD engines'
+//                   preferred shape).
+//   2. shedding   — past OverloadPolicy::shed_depth (and always when the
+//                   bounded queues are full under FullPolicy::kReject, or
+//                   stay full past the block timeout under kBlock), new
+//                   requests complete immediately with a typed rejection.
+//                   The queue never grows without bound.
 //
-// Degradation is the serving-side dual of the session's escalation fallback
-// (runtime/session.hpp FallbackPolicy): escalation spends *more* precision
-// on flagged answers after the fact; degradation spends *less* on new
-// answers before the fact, trading a known bound for admission under
-// overload.  See docs/serving.md.
+// Overload never lowers answer precision: every admitted request is served
+// on the configured session backend.  On a CPU every low-precision format
+// is emulated, so a cheaper rung would buy no capacity; precision changes
+// only through the session's flag-driven escalation (runtime/session.hpp
+// FallbackPolicy), which is about correctness.  See docs/serving.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "runtime/session.hpp"
 #include "util/clock.hpp"
 
 namespace problp::serve {
 
-/// The lower-precision rung degraded requests are served on, plus the
-/// analytic error bound that makes serving it defensible.
-struct DegradedTier {
-  Representation repr;
-  lowprec::RoundingMode rounding = lowprec::RoundingMode::kNearestEven;
-  /// The format's a-priori query-error bound (from the bit-width search /
-  /// AnalysisReport), stamped on every degraded answer's provenance.
-  double error_bound = 0.0;
-
-  /// The tier an analysis selected: the report's representation with its
-  /// plan's predicted bound and the rounding mode the analysis assumed.
-  /// Requires a feasible report.
-  static DegradedTier from_report(const runtime::CompiledModel& model,
-                                  const AnalysisReport& report);
-};
-
 struct OverloadPolicy {
-  /// Rung new requests are served on while the controller is degrading.
-  /// Unset = never degrade (depth/latency thresholds then must be unset
-  /// too — validate() rejects a threshold with no rung to degrade to).
-  std::optional<DegradedTier> degraded;
-  /// Queue depth at or above which new requests are admitted degraded.
-  std::size_t degrade_depth = SIZE_MAX;
-  /// Observed p99 completion latency (sliding window) above which new
-  /// requests are admitted degraded, independent of queue depth.
-  std::optional<util::Clock::Duration> degrade_p99;
   /// Queue depth at or above which new requests are shed with a typed
-  /// rejection (kRejectedOverload) — degradation's last line.
+  /// rejection (kRejectedOverload).
   std::size_t shed_depth = SIZE_MAX;
-
-  bool enabled() const { return degraded.has_value() || shed_depth != SIZE_MAX; }
 };
 
 struct ServerOptions {
@@ -94,17 +61,14 @@ struct ServerOptions {
   util::Clock::Duration flush_deadline = std::chrono::milliseconds(2);
 
   /// Shards: each is one queue plus one worker thread that batches and
-  /// serves it with its own InferenceSession pool (base + degraded tiers).
+  /// serves it with its own InferenceSession.
   int workers = 1;
 
-  /// Base-tier backend every worker session is built with (exact double by
+  /// Backend every worker session is built with (exact double by
   /// default; set `session.representation` to serve low-precision, plus
   /// `session.fallback` for flag-driven escalation).  For serving, prefer
   /// session.batch.num_threads == 1: workers are already the parallelism.
   runtime::SessionOptions session;
-  /// Analytic error bound of session.representation, stamped on normal-tier
-  /// low-precision answers (exact answers never carry a bound).
-  std::optional<double> base_error_bound;
 
   OverloadPolicy overload;
 

@@ -5,29 +5,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "util/fault_injection.hpp"
 #include "util/strings.hpp"
 
 namespace problp::serve {
-
-namespace {
-
-bool same_repr(const Representation& a, const Representation& b) {
-  if (a.kind != b.kind) return false;
-  return a.kind == Representation::Kind::kFixed ? a.fixed == b.fixed : a.flt == b.flt;
-}
-
-runtime::SessionOptions degraded_session_options(const ServerOptions& options) {
-  const DegradedTier& d = *options.overload.degraded;
-  runtime::SessionOptions opts = runtime::SessionOptions::low_precision(d.repr, d.rounding);
-  opts.batch = options.session.batch;
-  return opts;
-}
-
-}  // namespace
 
 // One bounded queue plus the worker that batches and serves it.  The queue
 // is reserved to `capacity` — admission bounds the summed depth by it — so
@@ -45,31 +28,18 @@ struct Server::Shard {
   std::thread worker;
 };
 
-// Per-worker session pool — the base tier is built with the thread (engines
-// inside are lazy), the degraded tier only when this shard first serves a
-// degraded batch — plus per-batch scratch reserved once, so serving a batch
-// allocates nothing per request.
+// A worker's session — built with the thread; the engines inside are lazy
+// — plus per-batch scratch reserved once, so serving a batch allocates
+// nothing per request.
 struct Server::Worker {
-  Server& server;
-  runtime::InferenceSession base;
-  std::optional<runtime::InferenceSession> degraded;
+  runtime::InferenceSession session;
 
   std::vector<Pending*> batch;  ///< cut batch or expired requests, back to the pool after
   std::vector<ac::PartialAssignment> evidence;  ///< a group's evidence, lent by its slots
-  std::vector<util::Clock::Duration> latencies;
 
-  explicit Worker(Server& s) : server(s), base(s.model_, s.options_.session) {
+  explicit Worker(const Server& s) : session(s.model_, s.options_.session) {
     batch.reserve(s.options_.batch_max);
     evidence.reserve(s.options_.batch_max);
-    latencies.reserve(s.options_.batch_max);
-  }
-
-  runtime::InferenceSession& for_tier(Tier tier) {
-    if (tier == Tier::kDegraded && server.options_.overload.degraded) {
-      if (!degraded) degraded.emplace(server.model_, degraded_session_options(server.options_));
-      return *degraded;
-    }
-    return base;
   }
 };
 
@@ -80,12 +50,9 @@ Server::Server(std::shared_ptr<const runtime::CompiledModel> model, ServerOption
   clock_ = options_.clock ? options_.clock : util::Clock::steady();
   // Surface session misconfiguration on the constructing thread, not as an
   // exception escaping a worker thread minutes later: build (and discard) a
-  // probe session per tier.  Sessions are scratch-only until their first
-  // query, so this is cheap.
+  // probe session.  Sessions are scratch-only until their first query, so
+  // this is cheap.
   { runtime::InferenceSession probe(model_, options_.session); }
-  if (options_.overload.degraded) {
-    runtime::InferenceSession probe(model_, degraded_session_options(options_));
-  }
   const auto workers = static_cast<std::size_t>(options_.workers);
   slots_ = std::vector<Pending>(options_.capacity + workers * options_.batch_max);
   free_.reserve(slots_.size());
@@ -109,14 +76,6 @@ std::future<Response> Server::submit(Request request) {
 void Server::submit(Request request, std::function<void(Response)> done) {
   require(done != nullptr, "serve: submit: null completion callback");
   submit_internal(std::move(request), std::move(done));
-}
-
-Tier Server::admission_tier(std::size_t depth) const {
-  const OverloadPolicy& policy = options_.overload;
-  if (!policy.degraded) return Tier::kNormal;
-  if (depth >= policy.degrade_depth) return Tier::kDegraded;
-  if (policy.degrade_p99 && latency_.p99() > *policy.degrade_p99) return Tier::kDegraded;
-  return Tier::kNormal;
 }
 
 std::future<Response> Server::submit_internal(Request request,
@@ -197,8 +156,6 @@ std::future<Response> Server::submit_internal(Request request,
       clock_->wait_until(cv_not_full_, lock, block_deadline);
     }
   }
-  const Tier tier = admission_tier(depth);
-
   Pending* slot = nullptr;
   {
     std::lock_guard<std::mutex> lock(free_mu_);
@@ -219,7 +176,6 @@ std::future<Response> Server::submit_internal(Request request,
   pending.enqueued = now;
   pending.deadline = pending.request.timeout ? now + *pending.request.timeout
                                              : util::Clock::TimePoint::max();
-  pending.tier = tier;
   pending.completed.store(false, std::memory_order_relaxed);
   const bool has_deadline = pending.deadline != util::Clock::TimePoint::max();
 
@@ -248,7 +204,6 @@ std::future<Response> Server::submit_internal(Request request,
            (shard.queue.size() == 1 || shard.queue.size() == options_.batch_max || has_deadline);
   }
   unblock();
-  if (tier == Tier::kDegraded) counters_.degraded_admitted.fetch_add(1, std::memory_order_relaxed);
   if (wake) shard.cv.notify_one();
   return future;
 }
@@ -343,7 +298,6 @@ void Server::complete_rejection(Pending& pending, Status status, const std::stri
   Response response;
   response.status = status;
   response.message = message;
-  response.tier = pending.tier;
   response.queue_wait = clock_->now() - pending.enqueued;
   response.latency = response.queue_wait;
   complete(pending, std::move(response));
@@ -453,11 +407,11 @@ void Server::process_batch(Worker& worker) {
   for (auto it = live_end; it != batch.end(); ++it) complete_timeout(**it, true);
   if (live_end == batch.begin()) return;
   counters_.batches_evaluated.fetch_add(1);
-  // One batched session call per homogeneous group (same query, query_var
-  // and tier); sorting on that key lines the groups up.  A saturated batch
+  // One batched session call per homogeneous group (same query and
+  // query_var); sorting on that key lines the groups up.  A saturated batch
   // is almost always one group.
   const auto key = [](const Pending* p) {
-    return std::tuple(p->request.query, p->request.query_var, p->tier);
+    return std::pair(p->request.query, p->request.query_var);
   };
   std::sort(batch.begin(), live_end,
             [&](const Pending* a, const Pending* b) { return key(a) < key(b); });
@@ -470,7 +424,6 @@ void Server::process_batch(Worker& worker) {
 }
 
 void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
-  const Tier tier = group.front()->tier;
   const errormodel::QueryType query = group.front()->request.query;
   const int query_var = group.front()->request.query_var;
   // The slots lend their evidence to the batched call and get it back
@@ -484,7 +437,7 @@ void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
     if (util::fault_point("serve.worker")) {
       throw std::runtime_error("injected fault: serve.worker evaluation failed");
     }
-    runtime::InferenceSession& session = worker.for_tier(tier);
+    runtime::InferenceSession& session = worker.session;
     const std::vector<double>* values = nullptr;
     std::vector<std::vector<double>> posteriors;
     if (query == errormodel::QueryType::kConditional) {
@@ -496,14 +449,6 @@ void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
     }
     const std::vector<runtime::QueryProvenance>& provenance = session.last_provenance();
     const util::Clock::TimePoint done = clock_->now();
-    // Latencies feed only the degrade_p99 trigger.  They are recorded before
-    // any member completes, so a client that resubmits on completion is
-    // admitted against a p99 that includes its own batch.
-    if (options_.overload.degrade_p99) {
-      worker.latencies.clear();
-      for (const Pending* p : group) worker.latencies.push_back(done - p->enqueued);
-      latency_.record_many(worker.latencies);
-    }
     // The group's ok completions are counted before any member completes,
     // so a client that has its answer also finds it in stats().
     counters_.count(Status::kOk).fetch_add(group.size(), std::memory_order_relaxed);
@@ -517,24 +462,10 @@ void Server::evaluate_group(Worker& worker, std::span<Pending* const> group) {
       } else {
         response.value = (*values)[j];
       }
-      response.tier = tier;
       const runtime::QueryProvenance& prov = provenance[j];
       response.served_format = prov.served_format;
       response.escalations = prov.escalations;
       response.flags = prov.flags;
-      // The analytic bound travels with the format that licenses it: the
-      // degraded rung's configured bound, or the base representation's.
-      // An escalated answer served on some other rung carries no bound —
-      // better none than a wrong one.
-      if (response.served_format) {
-        if (tier == Tier::kDegraded && options_.overload.degraded &&
-            same_repr(*response.served_format, options_.overload.degraded->repr)) {
-          response.error_bound = options_.overload.degraded->error_bound;
-        } else if (options_.base_error_bound && options_.session.representation &&
-                   same_repr(*response.served_format, *options_.session.representation)) {
-          response.error_bound = options_.base_error_bound;
-        }
-      }
       response.queue_wait = pending.flushed - pending.enqueued;
       response.latency = done - pending.enqueued;
       --undelivered_ok;
@@ -599,7 +530,6 @@ StatsSnapshot Server::stats() const {
   s.rejected_overload = counters_.count(Status::kRejectedOverload);
   s.rejected_shutdown = counters_.count(Status::kRejectedShutdown);
   s.errors = counters_.count(Status::kError);
-  s.degraded_admitted = counters_.degraded_admitted.load();
   s.flushes_by_size = counters_.flushes_by_size.load();
   s.flushes_by_deadline = counters_.flushes_by_deadline.load();
   s.batches_evaluated = counters_.batches_evaluated.load();

@@ -6,7 +6,7 @@
 //
 //   producers ──submit()──▶ route() ─────▶ shard 0: bounded queue ──▶ worker 0
 //                (backpressure,             shard 1: bounded queue ──▶ worker 1
-//                 overload admission)       ...   (each worker cuts its own
+//                 overload shedding)        ...   (each worker cuts its own
 //                                                  batches: no batcher thread)
 //
 // * submit() keeps routing to one shard while its worker is free and its
@@ -17,9 +17,8 @@
 //   before and after the cut.
 // * Admission reserves the summed depth against `capacity` (a reservation
 //   succeeds only below the limit) and rejects (FullPolicy::kReject) or
-//   blocks up to a timeout (kBlock) when full; past degrade_depth /
-//   degrade_p99 requests go onto the lower-precision rung, past shed_depth
-//   they are shed (serve/options.hpp).  Requests ride slots from a pool
+//   blocks up to a timeout (kBlock) when full; past shed_depth requests
+//   are shed (serve/options.hpp).  Requests ride slots from a pool
 //   fixed at construction (capacity + workers * batch_max); workers hand
 //   evidence back to the slots, so they free nothing per request.
 // * Shutdown: drain=true evaluates everything queued; drain=false rejects
@@ -52,8 +51,7 @@ class Server {
  public:
   /// Validates `options`, allocates the request-slot pool and starts one
   /// worker thread per shard.  Worker sessions are constructed inside their
-  /// threads (engines are lazy, so startup is cheap until the first batch of
-  /// each tier).
+  /// threads (engines are lazy, so startup is cheap until the first batch).
   Server(std::shared_ptr<const runtime::CompiledModel> model, ServerOptions options = {});
 
   /// shutdown(true) if the caller has not already shut down.
@@ -98,12 +96,11 @@ class Server {
     util::Clock::TimePoint enqueued{};
     util::Clock::TimePoint deadline = util::Clock::TimePoint::max();
     util::Clock::TimePoint flushed{};  ///< set when a worker cuts it into a batch
-    Tier tier = Tier::kNormal;
     std::atomic<bool> completed{false};  ///< exactly-once latch, reset on reuse
   };
 
   struct Shard;   ///< one bounded queue plus its worker (server.cpp)
-  struct Worker;  ///< a worker's sessions and batch scratch (server.cpp)
+  struct Worker;  ///< a worker's session and batch scratch (server.cpp)
 
   std::future<Response> submit_internal(Request request, std::function<void(Response)> done);
   /// Reserves one place in the summed depth if it is below `limit`.
@@ -133,13 +130,10 @@ class Server {
   /// Serves one cut batch: the serve.flush fault, the test hook, the
   /// post-cut deadline re-check, then one evaluation per homogeneous group.
   void process_batch(Worker& worker);
-  /// Evaluates one homogeneous group (same query/query_var/tier) and
+  /// Evaluates one homogeneous group (same query and query_var) and
   /// completes its members; on any exception the whole group completes
   /// with typed kError responses.
   void evaluate_group(Worker& worker, std::span<Pending* const> group);
-
-  /// Admission-time tier decision for a request admitted at `depth`.
-  Tier admission_tier(std::size_t depth) const;
 
   std::shared_ptr<const runtime::CompiledModel> model_;
   ServerOptions options_;
@@ -163,7 +157,6 @@ class Server {
   bool joined_ = false;     ///< guarded by shutdown_mu_
 
   Counters counters_;
-  LatencyWindow latency_;  ///< fed only when overload.degrade_p99 is set
 
   std::unique_ptr<Shard[]> shards_;  ///< last: worker threads use every member above
 };

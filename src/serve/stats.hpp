@@ -1,6 +1,5 @@
 // Serving-layer observability: lock-free counters for every completion
-// class, plus a small sliding latency window the overload controller's
-// degrade_p99 trigger reads its p99 from.
+// class.
 //
 // The accounting identity the drain tests pin down:
 //
@@ -12,14 +11,11 @@
 // and the stress/drain tests assert it).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "serve/types.hpp"
-#include "util/clock.hpp"
 
 namespace problp::serve {
 
@@ -33,7 +29,6 @@ struct StatsSnapshot {
   std::uint64_t rejected_overload = 0;
   std::uint64_t rejected_shutdown = 0;
   std::uint64_t errors = 0;
-  std::uint64_t degraded_admitted = 0;  ///< admitted onto the degraded tier
   std::uint64_t flushes_by_size = 0;
   std::uint64_t flushes_by_deadline = 0;
   std::uint64_t batches_evaluated = 0;
@@ -54,7 +49,6 @@ inline constexpr std::size_t kStatusCount = static_cast<std::size_t>(Status::kEr
 /// completions at once) sit on separate cache lines.
 struct Counters {
   alignas(64) std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> degraded_admitted{0};
   std::atomic<std::uint64_t> producers_blocked{0};
 
   alignas(64) std::atomic<std::uint64_t> completed[kStatusCount] = {};  ///< indexed by Status
@@ -66,43 +60,6 @@ struct Counters {
 
   std::atomic<std::uint64_t>& count(Status s) { return completed[static_cast<std::size_t>(s)]; }
   std::uint64_t count(Status s) const { return completed[static_cast<std::size_t>(s)].load(); }
-};
-
-/// Sliding window of recent completion latencies; p99() feeds the overload
-/// controller's latency trigger (workers record only when it is armed).
-/// Writers (workers) and readers (admission) share one small mutex — the
-/// window is 256 entries, the critical sections a few loads/stores.
-class LatencyWindow {
- public:
-  explicit LatencyWindow(std::size_t size = 256) : ring_(size) {}
-
-  /// One lock for a whole batch of completions (a worker finishing a group
-  /// records every member at once — per-request locking would cost more
-  /// than the stores).
-  void record_many(const std::vector<util::Clock::Duration>& ds) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (util::Clock::Duration d : ds) {
-      ring_[next_++ % ring_.size()] = d;
-      if (count_ < ring_.size()) ++count_;
-    }
-  }
-
-  /// p99 over the window (0 when empty).
-  util::Clock::Duration p99() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0) return util::Clock::Duration::zero();
-    std::vector<util::Clock::Duration> sorted(ring_.begin(),
-                                              ring_.begin() + static_cast<long>(count_));
-    std::sort(sorted.begin(), sorted.end());
-    return sorted[std::min(count_ - 1,
-                           static_cast<std::size_t>(0.99 * static_cast<double>(count_)))];
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<util::Clock::Duration> ring_;
-  std::size_t next_ = 0;
-  std::size_t count_ = 0;
 };
 
 }  // namespace problp::serve

@@ -20,10 +20,6 @@ const char* to_string(Status s) {
   return "unknown";
 }
 
-const char* to_string(Tier t) {
-  return t == Tier::kNormal ? "normal" : "degraded";
-}
-
 void Response::throw_if_failed() const {
   const std::string detail =
       message.empty() ? std::string(to_string(status)) : message;

@@ -9,17 +9,15 @@
 //                       request was *never* evaluated, by contract
 //   kRejectedQueueFull  backpressure: the bounded queue was full (or stayed
 //                       full past the block timeout under FullPolicy::kBlock)
-//   kRejectedOverload   the overload controller shed it (queue depth crossed
+//   kRejectedOverload   shed at admission (queue depth crossed
 //                       OverloadPolicy::shed_depth)
 //   kRejectedShutdown   submitted after shutdown began, or cancelled by a
 //                       non-draining shutdown before it was flushed
 //   kError              evaluation failed (worker fault); message has detail
 //
-// Degradation provenance: an answer served on the overload controller's
-// lower-precision rung carries tier == kDegraded, the served format, and the
-// format's *analytic* error bound (ProbLP's a-priori guarantee — the reason
-// degrading is safe: the answer is cheaper but its worst-case error is still
-// known).  See docs/serving.md for the taxonomy table.
+// Provenance: an ok answer names the format it was computed in (nullopt =
+// exact double), how many fallback-ladder rungs the session climbed, and
+// the datapath's sticky flags.  See docs/serving.md for the taxonomy table.
 //
 // The typed-error mirror: callers that prefer exceptions over status codes
 // use value_or_throw() / posterior_or_throw(), which throw the matching
@@ -91,12 +89,6 @@ enum class Status {
 
 const char* to_string(Status s);
 
-/// Which serving tier computed an answer: the configured base backend, or
-/// the overload controller's degraded (lower-precision) rung.
-enum class Tier { kNormal, kDegraded };
-
-const char* to_string(Tier t);
-
 struct Response {
   Status status = Status::kError;
   /// Root value for marginal/MPE queries (undefined otherwise).
@@ -107,13 +99,8 @@ struct Response {
   std::vector<double> posterior;
 
   // ---- provenance (kOk only) ----------------------------------------------
-  Tier tier = Tier::kNormal;
   /// Format the answer was computed in; nullopt = exact IEEE double.
   std::optional<Representation> served_format;
-  /// The served format's analytic a-priori error bound, when the server was
-  /// configured with one (always set for degraded answers — the bound is
-  /// what licenses serving them).  nullopt for exact answers.
-  std::optional<double> error_bound;
   /// Fallback-ladder climbs the base session performed (see runtime docs).
   int escalations = 0;
   /// Sticky flags of the serving datapath (clean on the exact backend).

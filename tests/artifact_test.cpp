@@ -1,4 +1,4 @@
-// The binary model artifact + the model registry (ISSUE 8).
+// The binary model artifact + the model registry.
 //
 // Contract under test: the mmap container round-trips a compiled model
 // bitwise (exact, fixed and float query results identical between the
@@ -6,8 +6,8 @@
 // matrix — truncation anywhere, flipped payload bits, flipped table bits,
 // foreign byte order, out-of-bounds section geometry, wrong version — is
 // rejected with a problp::Error, never undefined behaviour; saves are
-// atomic (temp + rename, no temp debris); the legacy text artifact still
-// loads through the same entry point; and the registry shares one mapping
+// atomic (temp + rename, no temp debris); the legacy text artifact is
+// refused by both load entry points with a re-save hint; and the registry shares one mapping
 // per content hash, serves multiple models concurrently, and LRU-evicts
 // pins without pulling live models out from under their sessions.
 #include <gtest/gtest.h>
@@ -17,9 +17,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <vector>
 
+#include "ac/serialize.hpp"
 #include "bn/random_network.hpp"
 #include "helpers.hpp"
 #include "runtime/artifact.hpp"
@@ -100,7 +102,6 @@ TEST(Artifact, ContainerRoundTrip) {
   writer.add_text(11, "hello sections");
   writer.write(path);
 
-  ASSERT_TRUE(MappedArtifact::sniff(path));
   const runtime::ArtifactInfo info = MappedArtifact::peek(path);
   EXPECT_EQ(info.version, runtime::kArtifactVersion);
   EXPECT_EQ(info.name, "roundtrip-model");
@@ -205,7 +206,7 @@ TEST(Artifact, CorruptionMatrix) {
     std::vector<unsigned char> bytes = pristine;
     bytes[0] = 'X';
     write_file(mutant, bytes);
-    EXPECT_FALSE(MappedArtifact::sniff(mutant));
+    EXPECT_THROW(MappedArtifact::peek(mutant), Error);
     EXPECT_THROW(MappedArtifact::open(mutant), Error);
   }
   {  // Wrong format version: the message names found and expected.
@@ -278,26 +279,37 @@ TEST(ModelArtifact, BinaryRoundTripIsBitwiseIdentical) {
   // back the identical row.
   EXPECT_EQ(loaded->analyze(spec).to_string(), report.to_string());
 
-  // Lazy circuit materialisation: to_text() forces both text sections to
-  // parse, and the arenas must match the originals node for node.
-  EXPECT_EQ(loaded->to_text(), model->to_text());
+  // Lazy circuit materialisation: both text sections parse on demand, and
+  // the arenas must match the originals node for node.
+  EXPECT_EQ(ac::to_text(loaded->binary_circuit()), ac::to_text(model->binary_circuit()));
+  EXPECT_EQ(ac::to_text(loaded->binary_max_circuit()), ac::to_text(model->binary_max_circuit()));
 }
 
-TEST(ModelArtifact, LegacyTextArtifactLoadsThroughSameEntryPoint) {
-  const std::string path = temp_path("model.txt.pm");
-  const bn::BayesianNetwork network = test_network(5);
-  const auto model = CompiledModel::compile(network);
+TEST(ModelArtifact, LegacyTextArtifactIsRejectedWithResaveHint) {
+  // The pre-binary text format: a "problp-model 1" line, then the
+  // decomposition and the circuit texts.  Both load entry points refuse it
+  // and say what they found, what they expected and how to fix it.
+  const std::string path = temp_path("model_legacy.txt");
   {
     std::ofstream out(path);
-    out << model->to_text();
+    out << "problp-model 1\ndecomposition balanced\ncircuit 0\nmaxcircuit 0\n";
   }
-  const auto loaded = CompiledModel::load(path);
-  EXPECT_FALSE(loaded->memory_mapped());
-  EXPECT_EQ(loaded->artifact_version(), 0u);
-  const auto evidence = test_evidence(network, 32, 17);
-  InferenceSession a(model);
-  InferenceSession b(loaded);
-  EXPECT_EQ(bits_of(a.marginal(evidence)), bits_of(b.marginal(evidence)));
+  const auto expect_resave_error = [&](const std::function<void()>& load) {
+    try {
+      load();
+      ADD_FAILURE() << "legacy text artifact loaded";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("found legacy text artifact 'problp-model 1'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("expected binary model artifact"), std::string::npos) << what;
+      EXPECT_NE(what.find("re-save"), std::string::npos) << what;
+    }
+  };
+  expect_resave_error([&] { CompiledModel::load(path); });
+  ModelRegistry registry;
+  expect_resave_error([&] { registry.get(path); });
+  EXPECT_EQ(registry.stats().live_models, 0u);
 }
 
 TEST(ModelArtifact, CorruptModelArtifactNeverLoads) {

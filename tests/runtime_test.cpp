@@ -424,10 +424,14 @@ TEST(CompiledModel, SaveLoadRoundTrip) {
 }
 
 TEST(CompiledModel, LoadRejectsCorruptArtifacts) {
-  EXPECT_THROW(CompiledModel::from_text("bogus"), Error);
-  EXPECT_THROW(CompiledModel::from_text("problp-model 1\ndecomposition sideways\n"), Error);
-  EXPECT_THROW(CompiledModel::from_text("problp-model 1\ndecomposition balanced\ncircuit 99\nx"),
-               Error);
+  const std::string path = ::testing::TempDir() + "problp_runtime_bogus.pm";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("bogus", f);
+  std::fclose(f);
+  EXPECT_THROW(CompiledModel::load(path), Error);  // no binary artifact magic
+  std::remove(path.c_str());
+  EXPECT_THROW(CompiledModel::load(path), Error);  // missing file
 }
 
 // ---- concurrency: many sessions, one model ---------------------------------

@@ -3,9 +3,9 @@
 // Contract under test: the bounded submission queue never grows past
 // capacity (reject vs block-with-timeout, both typed);
 // per-request deadlines produce typed timeouts whether they expire before
-// or after the flush — never a silent evaluation; the overload controller
-// degrades admissions onto the configured rung (responses carry the rung's
-// format and analytic error bound) and sheds past it; shutdown drains
+// or after the flush — never a silent evaluation; admission sheds past the
+// overload threshold and serves everything below it exactly as a direct
+// session would; shutdown drains
 // deterministically with every request completing exactly once — under
 // injected enqueue/flush/worker faults and an 8-producer stress race too;
 // recycled request slots always answer their own request; and a server runs
@@ -48,7 +48,6 @@ using serve::Server;
 using serve::ServerOptions;
 using serve::StatsSnapshot;
 using serve::Status;
-using serve::Tier;
 using util::FaultInjector;
 using util::ManualClock;
 
@@ -167,9 +166,7 @@ TEST_F(ServeTest, ServedAnswersMatchDirectSession) {
     Response m = marginals[i].get();
     ASSERT_EQ(m.status, Status::kOk) << m.message;
     EXPECT_DOUBLE_EQ(m.value, direct.marginal(evidence[i]));
-    EXPECT_EQ(m.tier, Tier::kNormal);
-    EXPECT_FALSE(m.served_format.has_value());  // exact base tier: no format,
-    EXPECT_FALSE(m.error_bound.has_value());    // no analytic bound
+    EXPECT_FALSE(m.served_format.has_value());  // exact backend: no format
     EXPECT_TRUE(m.ok());
 
     Response c = conditionals[i].get();
@@ -313,11 +310,6 @@ TEST_F(ServeTest, MisconfigurationThrowsFoundVsExpected) {
   {
     ServerOptions bad;
     bad.workers = 0;
-    EXPECT_THROW(Server(model, bad), InvalidArgument);
-  }
-  {
-    ServerOptions bad;
-    bad.overload.degrade_depth = 8;  // threshold with no rung to degrade to
     EXPECT_THROW(Server(model, bad), InvalidArgument);
   }
 }
@@ -497,105 +489,52 @@ TEST_F(ServeTest, DeadlineExpiryAfterFlushIsTypedTimeout) {
   expect_accounting_identity(s);
 }
 
-// ---- overload controller ---------------------------------------------------
+// ---- overload shedding ----------------------------------------------------
 
-TEST_F(ServeTest, OverloadDegradesWithProvenanceThenSheds) {
+TEST_F(ServeTest, OverloadShedsPastShedDepth) {
   const auto model = test_model();
   const auto clock = std::make_shared<ManualClock>();
-  const Representation rung = Representation::of(lowprec::FloatFormat{8, 16});
+  const SessionOptions session =
+      SessionOptions::low_precision(Representation::of(lowprec::FloatFormat{8, 16}));
   ServerOptions options;
   options.capacity = 8;
   options.batch_max = 8;
   options.workers = 1;
   options.flush_deadline = ms(10);
   options.clock = clock;
-  options.overload.degraded =
-      serve::DegradedTier{rung, lowprec::RoundingMode::kNearestEven, 0.125};
-  options.overload.degrade_depth = 2;
+  options.session = session;
   options.overload.shed_depth = 4;
   Server server(model, options);
 
-  const auto evidence = sampled_evidence(*model, 5, 8);
+  const auto evidence = sampled_evidence(*model, 6, 8);
   std::vector<std::future<Response>> futures;
   for (const auto& e : evidence) futures.push_back(server.submit(marginal_request(e)));
 
-  // Admission tiers at depths 0..4: normal, normal, degraded, degraded, shed.
-  Response shed = futures[4].get();
-  EXPECT_EQ(shed.status, Status::kRejectedOverload);
-  EXPECT_NE(shed.message.find("shed"), std::string::npos) << shed.message;
-  EXPECT_THROW(shed.throw_if_failed(), serve::OverloadShedError);
+  // Depths 0..3 are admitted; the queue then stays at the threshold, so
+  // every later submission is shed at depth 4.
+  for (std::size_t i = 4; i < evidence.size(); ++i) {
+    Response shed = futures[i].get();
+    EXPECT_EQ(shed.status, Status::kRejectedOverload);
+    EXPECT_NE(shed.message.find("queue depth 4 >= shed threshold 4"), std::string::npos)
+        << shed.message;
+    EXPECT_THROW(shed.throw_if_failed(), serve::OverloadShedError);
+  }
 
   clock->advance(ms(10));  // deadline flush of the four admitted requests
   server.shutdown(true);
 
-  InferenceSession exact(model, SessionOptions{});
-  InferenceSession degraded(model, SessionOptions::low_precision(rung));
-  for (int i = 0; i < 2; ++i) {
-    Response r = futures[static_cast<std::size_t>(i)].get();
+  InferenceSession direct(model, session);
+  for (std::size_t i = 0; i < 4; ++i) {
+    Response r = futures[i].get();
     ASSERT_EQ(r.status, Status::kOk) << r.message;
-    EXPECT_EQ(r.tier, Tier::kNormal);
-    EXPECT_FALSE(r.served_format.has_value());
-    EXPECT_FALSE(r.error_bound.has_value());
-    EXPECT_DOUBLE_EQ(r.value, exact.marginal(evidence[static_cast<std::size_t>(i)]));
-  }
-  for (int i = 2; i < 4; ++i) {
-    Response r = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r.status, Status::kOk) << r.message;
-    EXPECT_EQ(r.tier, Tier::kDegraded);
-    // Provenance names the rung actually served, with its analytic bound.
     ASSERT_TRUE(r.served_format.has_value());
     EXPECT_EQ(r.served_format->kind, Representation::Kind::kFloat);
-    EXPECT_EQ(r.served_format->flt.exponent_bits, rung.flt.exponent_bits);
-    EXPECT_EQ(r.served_format->flt.mantissa_bits, rung.flt.mantissa_bits);
-    ASSERT_TRUE(r.error_bound.has_value());
-    EXPECT_EQ(*r.error_bound, 0.125);
-    EXPECT_EQ(r.value, degraded.marginal(evidence[static_cast<std::size_t>(i)]));
+    EXPECT_EQ(r.value, direct.marginal(evidence[i]));
   }
   const StatsSnapshot s = server.stats();
-  EXPECT_EQ(s.degraded_admitted, 2u);
-  EXPECT_EQ(s.rejected_overload, 1u);
+  EXPECT_EQ(s.rejected_overload, 2u);
   EXPECT_EQ(s.completed_ok, 4u);
   expect_accounting_identity(s);
-}
-
-TEST_F(ServeTest, OverloadDegradesOnObservedP99) {
-  const auto model = test_model();
-  const auto clock = std::make_shared<ManualClock>();
-  Gate gate;
-  std::atomic<int> arrived{0};
-  ServerOptions options;
-  options.batch_max = 1;  // every submission flushes immediately
-  options.workers = 1;
-  options.clock = clock;
-  options.overload.degraded = serve::DegradedTier{
-      Representation::of(lowprec::FixedFormat{1, 20}), lowprec::RoundingMode::kNearestEven, 0.5};
-  options.overload.degrade_p99 = ms(5);
-  options.test_worker_hook = [&] {
-    ++arrived;
-    gate.wait();
-  };
-  Server server(model, options);
-
-  // First request completes with a manually-inflated 10 ms latency...
-  std::future<Response> slow = server.submit(marginal_request(sampled_evidence(*model, 1, 2)[0]));
-  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
-  clock->advance(ms(10));
-  gate.open();
-  Response first = slow.get();
-  ASSERT_EQ(first.status, Status::kOk) << first.message;
-  EXPECT_EQ(first.tier, Tier::kNormal);
-  EXPECT_GE(first.latency, ms(10));
-
-  // ...so the observed p99 now exceeds the trigger and the next admission
-  // degrades even though the queue is empty.
-  Response second = server.submit(marginal_request(sampled_evidence(*model, 1, 3)[0])).get();
-  ASSERT_EQ(second.status, Status::kOk) << second.message;
-  EXPECT_EQ(second.tier, Tier::kDegraded);
-  ASSERT_TRUE(second.served_format.has_value());
-  EXPECT_EQ(second.served_format->kind, Representation::Kind::kFixed);
-
-  server.shutdown(true);
-  expect_accounting_identity(server.stats());
 }
 
 // ---- shutdown --------------------------------------------------------------
@@ -825,9 +764,6 @@ TEST_F(ServeTest, EightProducerStressCompletesEveryRequestExactlyOnce) {
   options.workers = 3;
   options.full_policy = ServerOptions::FullPolicy::kBlock;
   options.block_timeout = std::chrono::seconds(5);
-  options.overload.degraded = serve::DegradedTier{
-      Representation::of(lowprec::FloatFormat{8, 20}), lowprec::RoundingMode::kNearestEven, 0.25};
-  options.overload.degrade_depth = 64;
   Server server(model, options);
 
   constexpr int kProducers = 8;
@@ -863,18 +799,13 @@ TEST_F(ServeTest, EightProducerStressCompletesEveryRequestExactlyOnce) {
   for (auto& t : producers) t.join();
   server.shutdown(true);
 
-  std::uint64_t ok = 0, timed_out = 0, rejected = 0, degraded = 0;
+  std::uint64_t ok = 0, timed_out = 0, rejected = 0;
   for (auto& per_producer : futures) {
     for (auto& f : per_producer) {
       Response r = f.get();  // ready: shutdown drained everything
       switch (r.status) {
         case Status::kOk:
           ++ok;
-          if (r.tier == Tier::kDegraded) {
-            ++degraded;
-            EXPECT_TRUE(r.served_format.has_value());
-            EXPECT_TRUE(r.error_bound.has_value());
-          }
           break;
         case Status::kTimeout:
           ++timed_out;
